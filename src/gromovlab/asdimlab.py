@@ -12,58 +12,22 @@ bounded) is a meaningful signal.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import asdict, dataclass, field
 
-from .graphs import MetricGraph, multi_source_distances, unwrap_payload
+from .graphs import (
+    MetricGraph,
+    bfs_levels,
+    check_int,
+    check_int_lists,
+    multi_source_distances,
+    set_diameter,
+    unwrap_payload,
+)
 
 SCALE_NOTE = (
     "multiplicity - 1 achieved at tested scales with D/R ratio <= 8; "
     "not the true asymptotic invariant (finite graphs all have dimension 0 in the limit)"
 )
-
-
-def _set_diameter_local(g: MetricGraph, vertices) -> int:
-    """Diameter of a vertex set in the ambient metric; each BFS stops as soon
-    as the whole set has been seen, so tight blocks stay cheap."""
-    vs = sorted(set(vertices))
-    if len(vs) == 1:
-        return 0
-    target = set(vs)
-    diam = 0
-    for s in vs:
-        seen = {s: 0}
-        remaining = len(target) - (1 if s in target else 0)
-        queue = deque([s])
-        far = 0
-        while queue and remaining:
-            x = queue.popleft()
-            dx = seen[x]
-            for w in g.neighbors(x):
-                if w not in seen:
-                    seen[w] = dx + 1
-                    if w in target:
-                        far = dx + 1
-                        remaining -= 1
-                    queue.append(w)
-        diam = max(diam, far)
-    return diam
-
-
-def _reach(g: MetricGraph, seeds, radius: int) -> dict:
-    """Vertices within ``radius`` of the seed set, by truncated BFS."""
-    reach = {v: 0 for v in seeds}
-    queue = deque(reach)
-    while queue:
-        x = queue.popleft()
-        dx = reach[x]
-        if dx == radius:
-            continue
-        for w in g.neighbors(x):
-            if w not in reach:
-                reach[w] = dx + 1
-                queue.append(w)
-    return reach
 
 
 @dataclass
@@ -83,7 +47,7 @@ class Cover:
         if not norm:
             raise ValueError("a cover needs at least one block")
         mult, witness = multiplicity_check(g, norm, R)
-        diam = max(_set_diameter_local(g, b) for b in norm)
+        diam = max(set_diameter(g, b) for b in norm)
         return cls(
             R=int(R),
             blocks=norm,
@@ -105,7 +69,8 @@ def cover_from_obj(g: MetricGraph, obj) -> Cover:
     if not isinstance(obj, dict) or "R" not in obj or "blocks" not in obj:
         raise ValueError('cover JSON must contain "R" and "blocks"')
     # D and multiplicity are deliberately recomputed, never read back
-    return Cover.from_blocks(g, obj["blocks"], obj["R"], obj.get("strategy", "loaded"))
+    blocks = check_int_lists("blocks", obj["blocks"])
+    return Cover.from_blocks(g, blocks, obj["R"], obj.get("strategy", "loaded"))
 
 
 def load_cover(g: MetricGraph, path) -> Cover:
@@ -120,8 +85,7 @@ def multiplicity_check(g: MetricGraph, cover, R: int) -> tuple:
     cover the graph.
     """
     blocks = cover.blocks if isinstance(cover, Cover) else tuple(cover)
-    if isinstance(R, bool) or not isinstance(R, int) or R < 0:
-        raise ValueError(f"scale R must be a nonnegative integer, got {R!r}")
+    R = check_int("scale R", R, 0)
     membership = [[] for _ in range(g.n)]
     for bi, block in enumerate(blocks):
         for v in block:
@@ -175,8 +139,7 @@ def cover_at_scale(g: MetricGraph, R: int, strategy: str, params=None) -> Cover:
       greedy coloring of the block-adjacency-within-2R graph as the
       multiplicity certificate.
     """
-    if isinstance(R, bool) or not isinstance(R, int) or R < 1:
-        raise ValueError(f"scale R must be a positive integer, got {R!r}")
+    R = check_int("scale R", R, 1)
 
     if strategy == "interval":
         row = g.distances_from(0)
@@ -204,10 +167,10 @@ def cover_at_scale(g: MetricGraph, R: int, strategy: str, params=None) -> Cover:
             if to_net[v] > 2 * R:
                 net.append(v)
                 # truncated BFS relaxation from the new net point
-                to_net[v] = 0
-                for w, dw in _reach(g, [v], 2 * R).items():
-                    if dw < to_net[w]:
-                        to_net[w] = dw
+                for dw, level in bfs_levels(g, [v], 2 * R):
+                    for w in level:
+                        if dw < to_net[w]:
+                            to_net[w] = dw
         dist = multi_source_distances(g, net)
         owner = [-1] * g.n
         for s in net:
@@ -226,25 +189,21 @@ def cover_at_scale(g: MetricGraph, R: int, strategy: str, params=None) -> Cover:
         # heals the fragmentation around high-valence junctions
         cap = 8 * R
         blocks = []
-        diams = []
         for s in sorted(cells):
             cell = cells[s]
-            reach = _reach(g, cell, 2 * R)
+            reach = {w for _, level in bfs_levels(g, cell, 2 * R) for w in level}
             target = -1
             union = None
             for bi, bv in enumerate(blocks):
                 if any(v in reach for v in bv):
                     candidate = sorted(set(bv) | set(cell))
-                    d = _set_diameter_local(g, candidate)
-                    if d <= cap:
-                        target, union, diam = bi, candidate, d
+                    if set_diameter(g, candidate) <= cap:
+                        target, union = bi, candidate
                         break
             if target >= 0:
                 blocks[target] = union
-                diams[target] = diam
             else:
                 blocks.append(sorted(cell))
-                diams.append(_set_diameter_local(g, cell))
         # greedy coloring of the block-adjacency-within-2R graph: same-colored
         # blocks are > 2R apart, so an R-ball meets at most num_colors blocks
         where = {}
@@ -253,11 +212,12 @@ def cover_at_scale(g: MetricGraph, R: int, strategy: str, params=None) -> Cover:
                 where[v] = bi
         adjacent = {bi: set() for bi in range(len(blocks))}
         for bi, bv in enumerate(blocks):
-            for w in _reach(g, bv, 2 * R):
-                bj = where[w]
-                if bj != bi:
-                    adjacent[bi].add(bj)
-                    adjacent[bj].add(bi)
+            for _, level in bfs_levels(g, bv, 2 * R):
+                for w in level:
+                    bj = where[w]
+                    if bj != bi:
+                        adjacent[bi].add(bj)
+                        adjacent[bj].add(bi)
         colors = {}
         for bi in range(len(blocks)):
             used = {colors[bj] for bj in adjacent[bi] if bj in colors}
@@ -337,13 +297,9 @@ def dim_profile(g: MetricGraph, scales, strategy: str, params=None, graph_id: st
 
 def hierarchy_bound(base_asdim: int, peripheral_dims) -> int:
     """Fold the one-level estimate  total <= base + (n + 1)  once per level."""
-    if isinstance(base_asdim, bool) or not isinstance(base_asdim, int) or base_asdim < 0:
-        raise ValueError(f"base dimension must be a nonnegative integer, got {base_asdim!r}")
-    total = base_asdim
+    total = check_int("base dimension", base_asdim, 0)
     for n in peripheral_dims:
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-            raise ValueError(f"peripheral dimension must be a nonnegative integer, got {n!r}")
-        total += n + 1
+        total += check_int("peripheral dimension", n, 0) + 1
     return total
 
 
@@ -370,13 +326,8 @@ def genus_bounds(g: int, p: int = 0) -> BoundsRecord:
     |chi| + 2; electrified disk graph |chi| + 3; each hierarchy peripheral
     2g + 1; disk graph (3g-3)(2g+2), which the hierarchy fold reproduces.
     """
-    for name, value in (("genus", g), ("punctures", p)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
-    if p < 0:
-        raise ValueError(f"punctures must be >= 0, got {p}")
+    g = check_int("genus", g, 2)
+    p = check_int("punctures", p, 0)
     chi = 2 - 2 * g - p
     peripheral = 2 * g + 1
     levels = 3 * g - 3

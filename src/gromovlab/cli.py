@@ -372,7 +372,7 @@ def cmd_report(args, started: float) -> int:
     for path_ in args.inputs:
         with open(path_, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        if not isinstance(obj, dict) or "manifest" not in obj or "data" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("manifest"), dict) or "data" not in obj:
             raise ValueError(f"{path_}: not a wrapped artifact (missing manifest/data)")
         manifest = obj["manifest"]
         rows.append((os.path.basename(path_), manifest.get("command", "?"), _summarize_data(obj["data"])))

@@ -9,7 +9,15 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graphs import MetricGraph, dump_json, graph_from_obj, graph_to_obj, unwrap_payload
+from .graphs import (
+    MetricGraph,
+    check_int,
+    check_int_lists,
+    dump_json,
+    graph_from_obj,
+    graph_to_obj,
+    unwrap_payload,
+)
 
 
 class FormatError(ValueError):
@@ -80,7 +88,7 @@ def family_from_obj(obj) -> SubgraphFamily:
     obj = unwrap_payload(obj)
     if not isinstance(obj, dict) or "peripherals" not in obj:
         raise ValueError('family JSON must be an object with "peripherals"')
-    return SubgraphFamily(obj["peripherals"])
+    return SubgraphFamily(check_int_lists("peripherals", obj["peripherals"]))
 
 
 def load_family(path) -> SubgraphFamily:
@@ -321,10 +329,9 @@ def penetration_profile(
     """
     if L < 1:
         raise ValueError(f"quasi-geodesic quality L must be >= 1, got {L}")
-    if not isinstance(samples, int) or samples < 1:
-        raise ValueError(f"sampling budget must be a positive integer, got {samples!r}")
-    if not isinstance(deep_threshold, int) or deep_threshold < 1:
-        raise ValueError("deep_threshold must be a positive integer")
+    samples = check_int("sampling budget", samples, 1)
+    deep_threshold = check_int("deep_threshold", deep_threshold, 1)
+    alternates = check_int("alternates", alternates, 0)
     rng = np.random.default_rng(seed)
     graph = eg.graph
     base_n = eg.base_size

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .electrify import ElectrifiedGraph, SubgraphFamily, cone_visits
-from .hyperbolicity import four_point_delta
+from .graphs import MetricGraph, check_int
+from .hyperbolicity import EXACT_SIZE_GUARD, DeltaReport, four_point_delta
 from .quasitree import QuasiTreeSpace
 
 QUASI_TREE_DELTA_CUTOFF = 2.0
@@ -59,6 +60,19 @@ def cone_exit_anchor(
         return base_tag
     k, c = visits[-1]
     return (c, walk[k + 1])
+
+
+def _anchor_ids(eg: ElectrifiedGraph, fam: SubgraphFamily, y: QuasiTreeSpace, basepoint: int):
+    """Memoized base vertex -> quasi-tree id of its cone-exit anchor."""
+    memo = {}
+
+    def anchor_id(v):
+        out = memo.get(v)
+        if out is None:
+            out = memo[v] = y.id_of(cone_exit_anchor(eg, fam, y, basepoint, v))
+        return out
+
+    return anchor_id
 
 
 def embed_point(
@@ -126,10 +140,18 @@ class EmbeddingReport:
     eg_delta: float
     eg_delta_mode: str
     peripheral_delta_max: float
+    peripheral_delta_mode: str  # "sampled" if any member was sampled: the max is then a lower bound
     quasi_tree_flags: dict
 
     def to_obj(self) -> dict:
         return asdict(self)
+
+
+def _delta_diagnostic(g: MetricGraph, seed: int) -> DeltaReport:
+    """δ of a side graph: exact within the exact-mode size guard, sampled above it."""
+    if g.n <= EXACT_SIZE_GUARD:
+        return four_point_delta(g, mode="exact")
+    return four_point_delta(g, mode="sampled", samples=4000, seed=seed)
 
 
 def _min_L_for_pair(d_g: int, d_p: int) -> float:
@@ -156,19 +178,10 @@ def qi_fit(
     embedding is only informative when those parts are tree-like.
     """
     _check_setup(eg, fam, y, theta)
-    if not isinstance(pair_budget, int) or pair_budget < 1:
-        raise ValueError("pair_budget must be >= 1")
+    check_int("pair_budget", pair_budget, 1)
     base = eg.base_graph()
     rng = np.random.default_rng(seed)
-    anchors = {}
-
-    def anchor_id(v):
-        out = anchors.get(v)
-        if out is None:
-            out = y.id_of(cone_exit_anchor(eg, fam, y, basepoint, v))
-            anchors[v] = out
-        return out
-
+    anchor_id = _anchor_ids(eg, fam, y, basepoint)
     records = []
     L_fit = 1.0
     for _ in range(pair_budget):
@@ -191,17 +204,11 @@ def qi_fit(
         if not (d_g / L_fit - C_fit - eps <= d_p <= L_fit * d_g + C_fit + eps)
     )
 
-    if eg.graph.n <= 300:
-        eg_report = four_point_delta(eg.graph, mode="exact")
-    else:
-        eg_report = four_point_delta(
-            eg.graph, mode="sampled", samples=4000, seed=0 if seed is None else seed
-        )
-    peripheral_deltas = []
-    for c in range(len(fam)):
-        sub, _ = eg.intrinsic(c)
-        peripheral_deltas.append(four_point_delta(sub, mode="exact").delta)
-    pmax = max(peripheral_deltas) if peripheral_deltas else 0.0
+    diag_seed = 0 if seed is None else seed
+    eg_report = _delta_diagnostic(eg.graph, diag_seed)
+    peripheral = [_delta_diagnostic(eg.intrinsic(c)[0], diag_seed) for c in range(len(fam))]
+    pmax = max((rep.delta for rep in peripheral), default=0.0)
+    pmode = "sampled" if any(rep.mode == "sampled" for rep in peripheral) else "exact"
     flags = {
         "delta_cutoff": QUASI_TREE_DELTA_CUTOFF,
         "electrified_graph": eg_report.delta <= QUASI_TREE_DELTA_CUTOFF,
@@ -219,6 +226,7 @@ def qi_fit(
         eg_delta=eg_report.delta,
         eg_delta_mode=eg_report.mode,
         peripheral_delta_max=pmax,
+        peripheral_delta_mode=pmode,
         quasi_tree_flags=flags,
     )
 
@@ -235,15 +243,7 @@ def edge_lipschitz(
     vertices a bounded amount)."""
     _check_setup(eg, fam, y, theta)
     base = eg.base_graph()
-    anchors = {}
-
-    def anchor_id(v):
-        out = anchors.get(v)
-        if out is None:
-            out = y.id_of(cone_exit_anchor(eg, fam, y, basepoint, v))
-            anchors[v] = out
-        return out
-
+    anchor_id = _anchor_ids(eg, fam, y, basepoint)
     worst = 0
     for (u, v) in base.edges:
         # base edges survive electrification, so the first coordinate is 1

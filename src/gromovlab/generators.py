@@ -8,36 +8,26 @@ identical graph, byte for byte after serialization.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .electrify import SubgraphFamily
-from .graphs import MetricGraph
-
-
-def _check_int(name, value, minimum):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
+from .graphs import MetricGraph, check_int
 
 
 def path(n: int) -> MetricGraph:
     """Path graph P_n on vertices 0..n-1."""
-    _check_int("n", n, 1)
+    check_int("n", n, 1)
     return MetricGraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> MetricGraph:
     """Cycle graph C_n."""
-    _check_int("n", n, 3)
+    check_int("n", n, 3)
     return MetricGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def grid(w: int, h: int) -> MetricGraph:
     """w x h grid; vertex (x, y) has id y*w + x and label "x,y"."""
-    _check_int("w", w, 1)
-    _check_int("h", h, 1)
+    check_int("w", w, 1)
+    check_int("h", h, 1)
     edges = []
     for y in range(h):
         for x in range(w):
@@ -57,8 +47,8 @@ def tree(depth: int, valence: int) -> MetricGraph:
     valence - 1 children, so no vertex exceeds degree ``valence``.
     tree(2, 3) has 1 + 3 + 6 = 10 vertices.
     """
-    _check_int("depth", depth, 0)
-    _check_int("valence", valence, 2)
+    check_int("depth", depth, 0)
+    check_int("valence", valence, 2)
     edges = []
     frontier = [0]
     next_id = 1
@@ -97,7 +87,7 @@ def ring_subdivide(g: MetricGraph, ring_len: int):
     Base vertices keep their ids; each ring's interior vertices are appended
     in edge order.  Returns (graph, SubgraphFamily of the rings).
     """
-    _check_int("ring_len", ring_len, 3)
+    check_int("ring_len", ring_len, 3)
     half = ring_len // 2
     edges = []
     members = []
@@ -133,8 +123,8 @@ def tree_of_rings(depth: int, valence: int, ring_len: int):
     together with the family of rings; neighbouring rings overlap in exactly
     one skeleton vertex.
     """
-    _check_int("depth", depth, 1)
-    _check_int("valence", valence, 1)
+    check_int("depth", depth, 1)
+    check_int("valence", valence, 1)
     skeleton = _tree_all_children(depth, valence)
     return ring_subdivide(skeleton, ring_len)
 
@@ -147,7 +137,7 @@ def hierarchy_tower(levels: int, valence: int, ring_len: int, depth: int = 2):
     level i by a ring, so each ring of level i becomes a gadget of ring_len
     rings one level down.  Returns a list of (graph, family) pairs.
     """
-    _check_int("levels", levels, 1)
+    check_int("levels", levels, 1)
     base = _tree_all_children(depth, valence)
     out = [(base, SubgraphFamily([]))]
     cur = base
@@ -216,7 +206,7 @@ def farey_ball(radius: int) -> MetricGraph:
     ball is infinite (0/1 has infinitely many neighbors), so the mediant
     closure acts as the finite horizon.  Labels carry the fractions.
     """
-    _check_int("radius", radius, 1)
+    check_int("radius", radius, 1)
     verts = sorted(_farey_vertices(radius), key=lambda f: (f[1], f[0]))
     index = {f: i for i, f in enumerate(verts)}
     edges = []

@@ -8,7 +8,6 @@ and all operations are pure, so concurrent readers are safe.
 from __future__ import annotations
 
 import json
-from collections import deque
 
 import numpy as np
 
@@ -17,13 +16,60 @@ class SizeLimitError(RuntimeError):
     """An exact computation was refused because the input is too large."""
 
 
+def check_int(name: str, value, minimum=None) -> int:
+    """``value`` as an int; booleans and non-integers are rejected, and so is
+    anything below ``minimum`` when one is given."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def check_int_lists(name: str, value) -> list:
+    """``value`` as a list of lists of ints: edges, members or blocks read
+    from a JSON artifact, rejected with a ValueError when mistyped."""
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(item, (list, tuple)) for item in value
+    ):
+        raise ValueError(f'"{name}" must be a list of integer lists, got {value!r:.60}')
+    return [[check_int(f"{name} entry", v) for v in item] for item in value]
+
+
 def _check_vertex(n: int, v) -> int:
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"vertex id must be an integer, got {v!r}")
-    v = int(v)
+    v = check_int("vertex id", v)
     if v < 0 or v >= n:
         raise ValueError(f"unknown vertex id {v} (graph has {n} vertices)")
     return v
+
+
+def _bfs_levels(adj, seeds, radius=None, within=None):
+    """Breadth-first search over the adjacency tuples ``adj``: yields
+    (d, vertices at distance d from ``seeds``) level by level, up to
+    ``radius`` if given, walking only through ``within`` if given.
+
+    The one BFS of the package.  It trusts its inputs: seeds are distinct
+    valid ids, checked once by the caller.  Consumers that stop early just
+    stop iterating, and the remaining levels are never expanded.
+    """
+    seen = set(seeds)
+    level = list(seeds)
+    d = 0
+    while level:
+        yield d, level
+        if d == radius:
+            return
+        d += 1
+        nxt = []
+        for x in level:
+            for w in adj[x]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        if within is not None:
+            # vertices outside are marked seen but never expanded
+            nxt = [w for w in nxt if w in within]
+        level = nxt
 
 
 class MetricGraph:
@@ -37,9 +83,7 @@ class MetricGraph:
     __hash__ = None
 
     def __init__(self, n: int, edges, labels=None):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or int(n) < 1:
-            raise ValueError(f"vertex count must be a positive integer, got {n!r}")
-        n = int(n)
+        n = check_int("vertex count", n, 1)
         adjacency = [[] for _ in range(n)]
         seen = set()
         norm_edges = []
@@ -70,19 +114,7 @@ class MetricGraph:
         self._check_connected()
 
     def _check_connected(self):
-        if self._n == 1:
-            return
-        seen = bytearray(self._n)
-        seen[0] = 1
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    queue.append(w)
+        count = sum(len(level) for _, level in _bfs_levels(self._adj, [0]))
         if count != self._n:
             raise ValueError(f"graph is disconnected ({count} of {self._n} vertices reachable)")
 
@@ -126,16 +158,7 @@ class MetricGraph:
         u = _check_vertex(self._n, u)
         row = self._dist_rows.get(u)
         if row is None:
-            row = np.full(self._n, -1, dtype=np.int32)
-            row[u] = 0
-            queue = deque([u])
-            while queue:
-                x = queue.popleft()
-                dx = row[x]
-                for w in self._adj[x]:
-                    if row[w] < 0:
-                        row[w] = dx + 1
-                        queue.append(w)
+            row = multi_source_distances(self, [u])
             row.setflags(write=False)
             self._dist_rows[u] = row
         return row
@@ -175,21 +198,8 @@ class MetricGraph:
     def ball(self, u: int, r: int) -> list:
         """Sorted vertex ids within distance r of u (truncated BFS, uncached)."""
         u = _check_vertex(self._n, u)
-        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or int(r) < 0:
-            raise ValueError(f"radius must be a nonnegative integer, got {r!r}")
-        r = int(r)
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            x = queue.popleft()
-            dx = dist[x]
-            if dx == r:
-                continue
-            for w in self._adj[x]:
-                if w not in dist:
-                    dist[w] = dx + 1
-                    queue.append(w)
-        return sorted(dist)
+        r = check_int("radius", r, 0)
+        return sorted(w for _, level in _bfs_levels(self._adj, [u], r) for w in level)
 
     # -- derived graphs ------------------------------------------------------
 
@@ -217,36 +227,54 @@ class MetricGraph:
         vs = {_check_vertex(self._n, v) for v in vertices}
         if not vs:
             return False
-        start = min(vs)
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for w in self._adj[x]:
-                if w in vs and w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return seen == vs
+        reached = sum(len(level) for _, level in _bfs_levels(self._adj, [min(vs)], within=vs))
+        return reached == len(vs)
+
+
+def bfs_levels(g: MetricGraph, sources, radius=None):
+    """(d, vertices at distance d from the set ``sources``), level by level,
+    up to ``radius`` if given."""
+    seeds = sorted({_check_vertex(g.n, s) for s in sources})
+    if not seeds:
+        raise ValueError("need at least one source vertex")
+    if radius is not None:
+        radius = check_int("radius", radius, 0)
+    return _bfs_levels(g._adj, seeds, radius)
 
 
 def multi_source_distances(g: MetricGraph, sources) -> np.ndarray:
     """BFS distance to the nearest of ``sources`` for every vertex."""
-    dist = np.full(g.n, -1, dtype=np.int32)
-    queue = deque()
-    for s in sorted(set(sources)):
-        s = _check_vertex(g.n, s)
-        dist[s] = 0
-        queue.append(s)
-    if not queue:
-        raise ValueError("need at least one source vertex")
-    while queue:
-        x = queue.popleft()
-        dx = dist[x]
-        for w in g.neighbors(x):
-            if dist[w] < 0:
-                dist[w] = dx + 1
-                queue.append(w)
-    return dist
+    row = np.full(g.n, -1, dtype=np.int32)
+    for d, level in bfs_levels(g, sources):
+        row[level] = d
+    return row
+
+
+def set_diameter(g: MetricGraph, vertices) -> int:
+    """Diameter of a vertex set in the ambient graph metric.
+
+    A source whose distance row is already cached reads it.  Any other runs a
+    BFS that stops once the whole set has been reached and caches nothing, so
+    callers with many one-off sets (cover blocks) do not fill the row cache.
+    """
+    vs = sorted({_check_vertex(g.n, v) for v in vertices})
+    if not vs:
+        raise ValueError("diameter of an empty set")
+    arr = np.asarray(vs)
+    target = set(vs)
+    diam = 0
+    for s in vs:
+        row = g._dist_rows.get(s)
+        if row is not None:
+            far = int(row[arr].max())
+        else:
+            remaining = len(vs)
+            for far, level in _bfs_levels(g._adj, [s]):
+                remaining -= len(target.intersection(level))
+                if not remaining:
+                    break
+        diam = max(diam, far)
+    return diam
 
 
 def cartesian_product(gx: MetricGraph, gy: MetricGraph) -> MetricGraph:
@@ -287,8 +315,10 @@ def graph_from_obj(obj) -> MetricGraph:
         raise ValueError("weighted graphs are not supported; all edges have length 1")
     labels = obj.get("labels")
     if labels is not None:
+        if not isinstance(labels, dict):
+            raise ValueError(f'"labels" must map vertex ids to labels, got {labels!r:.60}')
         labels = {int(k): v for k, v in labels.items()}
-    return MetricGraph(obj["n"], obj["edges"], labels)
+    return MetricGraph(obj["n"], check_int_lists("edges", obj["edges"]), labels)
 
 
 def load_graph(path) -> MetricGraph:

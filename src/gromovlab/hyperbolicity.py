@@ -19,7 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .graphs import MetricGraph, SizeLimitError, multi_source_distances
+from .graphs import MetricGraph, SizeLimitError, check_int, multi_source_distances
 
 EXACT_SIZE_GUARD = 300
 
@@ -65,7 +65,8 @@ def _exact_scan(D: np.ndarray, i_range) -> tuple:
                 flat = int(np.argmax(defect))
                 width = n - lo
                 k = lo + flat // width
-                l = lo + flat % width
+                # with every defect 0, argmax lands on the zeroed diagonal
+                l = lo + flat % width if m else k + 1
                 best = m
                 witness = (i, j, k, l)
     return best, witness
@@ -109,8 +110,7 @@ def four_point_delta(
         return DeltaReport(best / 2.0, "exact", None, None, witness, g.n)
 
     if mode == "sampled":
-        if not isinstance(samples, int) or samples < 1:
-            raise ValueError("sampled mode needs samples >= 1")
+        samples = check_int("samples", samples, 1)
         if seed is None:
             raise ValueError("sampled mode needs a seed")
         if g.n < 4:
@@ -156,8 +156,7 @@ def quasiconvexity_constant(g: MetricGraph, H, pair_budget: int, seed: int | Non
     0 means every sampled geodesic stays inside H.  H must induce a connected
     subgraph.
     """
-    if not isinstance(pair_budget, int) or pair_budget < 1:
-        raise ValueError("pair_budget must be >= 1")
+    check_int("pair_budget", pair_budget, 1)
     hs = sorted(set(H))
     if not g.is_connected_subset(hs):
         raise ValueError("H does not induce a connected subgraph")
@@ -175,8 +174,7 @@ def intrinsic_vs_extrinsic(g: MetricGraph, H, pair_budget: int, seed: int | None
     1.0 means the subgraph sits in the ambient graph without any shortcut;
     large values flag members whose inclusion badly distorts distances.
     """
-    if not isinstance(pair_budget, int) or pair_budget < 1:
-        raise ValueError("pair_budget must be >= 1")
+    check_int("pair_budget", pair_budget, 1)
     hs = sorted(set(H))
     sub, old_to_new = g.induced(hs)  # raises on disconnected H
     worst = 1.0

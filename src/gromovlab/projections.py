@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from .electrify import SubgraphFamily
-from .graphs import MetricGraph
+from .graphs import MetricGraph, check_int, set_diameter
 
 
 def project(g: MetricGraph, H, x: int) -> tuple:
@@ -32,15 +32,6 @@ def _project_fast(g: MetricGraph, hs: list, x: int) -> tuple:
     arr = np.asarray(hs)
     dist = row[arr]
     return tuple(int(v) for v in arr[dist == dist.min()])
-
-
-def set_diameter(g: MetricGraph, vertices) -> int:
-    """Diameter of a vertex set in the ambient graph metric."""
-    vs = sorted(set(vertices))
-    if not vs:
-        raise ValueError("diameter of an empty set")
-    arr = np.asarray(vs)
-    return max(int(g.distances_from(v)[arr].max()) for v in vs)
 
 
 def hausdorff_distance(g: MetricGraph, A, B) -> int:
@@ -75,15 +66,40 @@ def proj_set_diameter(g: MetricGraph, H_c, H_d) -> int:
     return set_diameter(g, _proj_set(g, hc, hd))
 
 
+class ProjectionTable:
+    """Projections between the members of a family, and the triple distances
+    read from them; both computed on first use and cached."""
+
+    def __init__(self, g: MetricGraph, fam: SubgraphFamily):
+        self._g = g
+        self._members = [list(mem) for mem in fam.members]
+        self._proj = {}
+        self._triple = {}
+
+    def proj(self, c: int, d: int) -> tuple:
+        """Projection of member d into member c (every vertex projected)."""
+        out = self._proj.get((c, d))
+        if out is None:
+            out = self._proj[c, d] = _proj_set(self._g, self._members[c], self._members[d])
+        return out
+
+    def triple(self, a: int, b: int, c: int) -> int:
+        """d_a(b, c): diameter of the union of the projections of members b
+        and c into member a; symmetric in (b, c)."""
+        key = (a, b, c) if b < c else (a, c, b)
+        out = self._triple.get(key)
+        if out is None:
+            union = set(self.proj(a, b)) | set(self.proj(a, c))
+            out = self._triple[key] = set_diameter(self._g, union)
+        return out
+
+
 def triple_distance(g: MetricGraph, fam: SubgraphFamily, a: int, b: int, c: int) -> int:
     """Diameter of the union of the projections of members b and c into member
     a; symmetric in (b, c)."""
     if len({a, b, c}) != 3:
         raise ValueError("triple distance needs three distinct member indices")
-    ha = list(fam[a])
-    pab = _proj_set(g, ha, fam[b])
-    pac = _proj_set(g, ha, fam[c])
-    return set_diameter(g, set(pab) | set(pac))
+    return ProjectionTable(g, fam).triple(a, b, c)
 
 
 @dataclass
@@ -127,16 +143,13 @@ def axiom_check(
     m = len(fam)
     if m < 2:
         raise ValueError("axiom check needs at least two family members")
-    if not isinstance(triple_budget, int) or triple_budget < 1:
-        raise ValueError("triple_budget must be >= 1")
+    check_int("triple_budget", triple_budget, 1)
+    check_int("axiom3_budget", axiom3_budget, 0)
 
-    members = [list(mem) for mem in fam.members]
-    proj = {}
-    for c in range(m):
-        for d in range(m):
-            if c != d:
-                proj[c, d] = _proj_set(g, members[c], members[d])
-    R_measured = max(set_diameter(g, proj[cd]) for cd in proj)
+    table = ProjectionTable(g, fam)
+    # every projection first: it caches the distance rows that the diameters read
+    projs = [table.proj(c, d) for c in range(m) for d in range(m) if c != d]
+    R_measured = max(set_diameter(g, p) for p in projs)
 
     if theta == "auto":
         theta_val = 3 * R_measured + 3
@@ -146,16 +159,6 @@ def axiom_check(
         theta_mode = "given"
         if theta_val <= 0:
             raise ValueError(f"theta must be positive, got {theta}")
-
-    triple_cache = {}
-
-    def d_triple(a, b, c):
-        key = (a, b, c) if b < c else (a, c, b)
-        val = triple_cache.get(key)
-        if val is None:
-            val = set_diameter(g, set(proj[a, key[1]]) | set(proj[a, key[2]]))
-            triple_cache[key] = val
-        return val
 
     total_triples = m * (m - 1) * (m - 2) // 6
     exhaustive = total_triples <= triple_budget
@@ -169,7 +172,7 @@ def axiom_check(
         ]
     violations = []
     for a, b, c in triples:
-        nums = (d_triple(a, b, c), d_triple(b, a, c), d_triple(c, a, b))
+        nums = (table.triple(a, b, c), table.triple(b, a, c), table.triple(c, a, b))
         if sum(1 for x in nums if x > theta_val) >= 2:
             violations.append({"triple": [a, b, c], "values": list(nums)})
 
@@ -184,7 +187,7 @@ def axiom_check(
         ]
     counts = []
     for a, b in pairs:
-        counts.append(sum(1 for c in range(m) if c not in (a, b) and d_triple(c, a, b) > theta_val))
+        counts.append(sum(1 for c in range(m) if c not in (a, b) and table.triple(c, a, b) > theta_val))
 
     return AxiomReport(
         R_measured=int(R_measured),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .electrify import ElectrifiedGraph, SubgraphFamily, cone_visits, electrify, is_efficient
 from .graphs import MetricGraph, graph_from_obj, graph_to_obj, multi_source_distances, unwrap_payload
-from .projections import _proj_set, set_diameter
+from .projections import ProjectionTable
 
 
 @dataclass
@@ -142,27 +142,21 @@ def build_quasitree(
                 edges.append((tag_to_id[(c, a)], tag_to_id[(c, b)]))
 
     # projection anchor points: id-minimal at minimal distance to the partner
-    proj = {}
+    table = ProjectionTable(g, fam)
     anchor = {}
     dist_to = {}
     for d in range(m):
         dist_to[d] = multi_source_distances(g, members[d])
     for c in range(m):
         for d in range(m):
-            if c == d:
-                continue
-            pset = _proj_set(g, members[c], members[d])
-            proj[c, d] = pset
-            anchor[c, d] = min(pset, key=lambda s: (int(dist_to[d][s]), s))
-
-    def triple_d(a, c, d):
-        return set_diameter(g, set(proj[a, c]) | set(proj[a, d]))
+            if c != d:
+                anchor[c, d] = min(table.proj(c, d), key=lambda s: (int(dist_to[d][s]), s))
 
     def projection_pairs():
         out = set()
         for c in range(m):
             for d in range(c + 1, m):
-                if not any(triple_d(a, c, d) >= 2 * theta for a in range(m) if a not in (c, d)):
+                if not any(table.triple(a, c, d) >= 2 * theta for a in range(m) if a not in (c, d)):
                     out.add((c, d))
         return out
 

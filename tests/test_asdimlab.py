@@ -158,6 +158,12 @@ def test_cover_json_round_trip_recomputes_claims(tmp_path):
         cover_from_obj(g, {"blocks": []})
 
 
+@pytest.mark.parametrize("blocks", [7, [7], [[0, "a"]], [[0, None]]])
+def test_cover_loader_rejects_mistyped_blocks(blocks):
+    with pytest.raises(ValueError, match="blocks"):
+        cover_from_obj(path(10), {"R": 1, "blocks": blocks})
+
+
 def test_cover_serialization_is_deterministic():
     g = path(100)
     a = dump_json(cover_at_scale(g, 5, "interval").to_obj())

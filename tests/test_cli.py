@@ -102,6 +102,30 @@ def test_validation_errors_exit_2(tmp_path):
     assert run(["delta", str(bad)]) == 2
 
 
+MISTYPED = [
+    ("delta", "graph", {"n": 5, "edges": 3}),
+    ("delta", "graph", {"n": 5, "edges": [1, 2]}),
+    ("delta", "graph", {"n": 2, "edges": [[0, 1]], "labels": [1]}),
+    ("axioms", "family", {"peripherals": 5}),
+    ("axioms", "family", {"peripherals": [[0, [1]]]}),
+    ("axioms", "family", {"peripherals": [[0, 1.5]]}),
+    ("report", "artifact", {"manifest": [1], "data": {}}),
+]
+
+
+@pytest.mark.parametrize("command,kind,payload", MISTYPED)
+def test_mistyped_artifacts_exit_2_without_traceback(rings, tmp_path, capsys, command, kind, payload):
+    graph, family = rings
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    inputs = [graph, str(bad)] if kind == "family" else [str(bad)]
+    capsys.readouterr()
+    assert run([command, *inputs, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_size_guard_exits_3(tmp_path):
     out = tmp_path / "p"
     run(["gen", "path", "--n", "400", "--out", str(out)])

@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from _corpus import quasitree_setup
+from _corpus import quasitree_setup, ring_instance
+from gromovlab.electrify import electrify
 from gromovlab.embedding import (
     cone_exit_anchor,
     edge_lipschitz,
@@ -13,6 +14,8 @@ from gromovlab.embedding import (
     product_distance,
     qi_fit,
 )
+from gromovlab.projections import axiom_check
+from gromovlab.quasitree import build_quasitree
 
 
 def test_anchor_falls_back_to_the_basepoint_tag():
@@ -67,6 +70,7 @@ def test_qi_fit_on_the_small_ring_tree():
     assert rep.eg_delta == 0.5
     assert rep.eg_delta_mode == "exact"
     assert rep.peripheral_delta_max == 3.0
+    assert rep.peripheral_delta_mode == "exact"
     assert rep.quasi_tree_flags == {
         "delta_cutoff": 2.0,
         "electrified_graph": True,
@@ -141,3 +145,15 @@ def test_qi_fit_validation():
         qi_fit(eg, fam, y, basepoint=0, theta=theta + 2)
     with pytest.raises(ValueError, match="pair_budget"):
         qi_fit(eg, fam, y, basepoint=0, pair_budget=0)
+
+
+def test_qi_fit_samples_delta_of_members_above_the_exact_guard():
+    # two rings of 320 vertices: exact delta refuses each member and the
+    # electrified graph, so both diagnostics fall back to sampled mode
+    g, fam = ring_instance(1, 2, 320)
+    theta = axiom_check(g, fam).theta
+    y = build_quasitree(g, fam, theta)
+    rep = qi_fit(electrify(g, fam), fam, y, basepoint=0, pair_budget=200)
+    assert (rep.eg_delta_mode, rep.peripheral_delta_mode) == ("sampled", "sampled")
+    # a sampled value is a lower bound; the exact delta of C_320 is 80
+    assert 0 < rep.peripheral_delta_max <= 80.0

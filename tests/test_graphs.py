@@ -2,6 +2,7 @@
 
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from gromovlab.graphs import (
     graph_to_obj,
     load_graph,
     multi_source_distances,
+    set_diameter,
     unwrap_payload,
 )
 
@@ -217,3 +219,26 @@ def test_metric_axioms_hold_on_random_graphs(g):
     for k in range(n):
         assert (D <= D[:, k : k + 1] + D[k : k + 1, :]).all()
     assert np.array_equal(D, orc.distance_matrix(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), st.data())
+def test_set_diameter_and_bfs_views_match_networkx(g, data):
+    D = orc.distance_matrix(g)
+    vertex_sets = st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n, unique=True)
+    vs = data.draw(vertex_sets)
+    expect = int(D[np.ix_(vs, vs)].max())
+    assert set_diameter(g, vs) == expect  # cold: early-stop BFS, nothing cached
+    for v in data.draw(st.lists(st.sampled_from(vs), unique=True)):
+        g.distances_from(v)  # warm some or all of the set's rows
+    assert set_diameter(g, vs) == expect
+    g.distance_matrix()  # every row warm
+    assert set_diameter(g, vs) == expect
+
+    u = data.draw(st.integers(0, g.n - 1))
+    r = data.draw(st.integers(0, g.n))
+    assert g.ball(u, r) == [v for v in range(g.n) if D[u, v] <= r]
+    sources = data.draw(vertex_sets)
+    assert np.array_equal(multi_source_distances(g, sources), D[sources].min(axis=0))
+    h = orc.to_networkx(g)
+    assert g.is_connected_subset(vs) == nx.is_connected(h.subgraph(vs))

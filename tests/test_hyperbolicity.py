@@ -108,6 +108,19 @@ def test_threaded_scan_matches_serial_scan():
     assert (serial.delta, serial.witness) == (threaded.delta, threaded.witness)
 
 
+@pytest.mark.parametrize("g", [path(6), tree(3, 3)], ids=["path-6", "tree-3-3"])
+def test_zero_delta_witness_is_four_distinct_vertices(g):
+    serial = four_point_delta(g, threads=1)
+    threaded = four_point_delta(g, threads=2)
+    assert serial.delta == 0.0
+    assert serial.witness == (0, 1, 2, 3)
+    assert (serial.delta, serial.witness) == (threaded.delta, threaded.witness)
+    D = orc.distance_matrix(g)
+    w, x, y, z = serial.witness
+    sums = sorted((D[w, x] + D[y, z], D[w, y] + D[x, z], D[w, z] + D[x, y]))
+    assert sums[2] - sums[1] == 0
+
+
 def test_quasiconvexity_of_rings_and_grid_rows_is_zero():
     g, fam = family_instance("rings-2-3-12")
     assert quasiconvexity_constant(g, fam[0], pair_budget=500, seed=3) == 0

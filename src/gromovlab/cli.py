@@ -37,7 +37,7 @@ from .generators import (
 )
 from .graphs import SizeLimitError, dump_json, graph_to_dot, graph_to_obj, load_graph
 from .hyperbolicity import four_point_delta
-from .projections import axiom_check
+from .projections import auto_theta, axiom_check, projection_constant
 from .quasitree import build_quasitree, y_to_obj
 
 
@@ -99,9 +99,10 @@ def _parse_theta(raw):
 
 
 def _theta_value(g, fam, raw):
-    """Resolve --theta auto to the measured heuristic value."""
+    """Resolve --theta auto to the measured heuristic value, without running
+    the axiom-2 and axiom-3 parts of the audit."""
     if raw == "auto":
-        return axiom_check(g, fam).theta
+        return auto_theta(projection_constant(g, fam))
     return float(raw)
 
 
@@ -199,9 +200,7 @@ def cmd_penetration(args, started: float) -> int:
 
 def cmd_delta(args, started: float) -> int:
     g = load_graph(args.graph)
-    rep = four_point_delta(
-        g, mode=args.mode, samples=args.samples, seed=args.seed, threads=args.threads
-    )
+    rep = four_point_delta(g, mode=args.mode, samples=args.samples, seed=args.seed)
     seeds = {"seed": args.seed} if args.mode == "sampled" else {}
     if args.out:
         manifest = _manifest(args, started, inputs={"graph": args.graph}, seeds=seeds)
@@ -444,7 +443,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     _add_out(p, required=False)
     p.set_defaults(func=cmd_delta)
 

@@ -13,6 +13,7 @@ from .graphs import (
     MetricGraph,
     check_int,
     check_int_lists,
+    check_int_pairs,
     dump_json,
     graph_from_obj,
     graph_to_obj,
@@ -222,9 +223,9 @@ def eg_from_obj(obj) -> ElectrifiedGraph:
         raise FormatError('electrified-graph JSON needs "graph", "base_size", "cones"')
     try:
         graph = graph_from_obj(obj["graph"])
+        cone_of = dict(check_int_pairs("cones", obj.get("cones", [])))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    cone_of = {int(c): int(vc) for c, vc in obj.get("cones", [])}
     return ElectrifiedGraph(graph, obj["base_size"], cone_of)
 
 

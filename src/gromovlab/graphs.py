@@ -36,6 +36,16 @@ def check_int_lists(name: str, value) -> list:
     return [[check_int(f"{name} entry", v) for v in item] for item in value]
 
 
+def check_int_pairs(name: str, value) -> list:
+    """``value`` as a list of integer pairs (cones, tags), rejected with a
+    ValueError when mistyped."""
+    pairs = check_int_lists(name, value)
+    for item in pairs:
+        if len(item) != 2:
+            raise ValueError(f'"{name}" entries must be integer pairs, got {item!r:.60}')
+    return pairs
+
+
 def _check_vertex(n: int, v) -> int:
     v = check_int("vertex id", v)
     if v < 0 or v >= n:
@@ -275,6 +285,47 @@ def set_diameter(g: MetricGraph, vertices) -> int:
                     break
         diam = max(diam, far)
     return diam
+
+
+def biconnected_blocks(g: MetricGraph) -> list:
+    """Vertex sets of the biconnected blocks of ``g`` (maximal subgraphs
+    without a cut vertex; a bridge is a block of two), each sorted, in sorted
+    order.  A one-vertex graph has no block.
+
+    Iterative Tarjan: a depth-first walk over ``_adj`` keeps each vertex's
+    discovery time and low point, and a child ``v`` of ``u`` with
+    low(v) >= disc(u) closes the block made of ``u`` and the vertices stacked
+    since ``v``.
+    """
+    adj = g._adj
+    disc = [-1] * g.n
+    low = [0] * g.n
+    disc[0] = 0
+    count = 1
+    stack = [0]
+    walk = [(0, iter(adj[0]))]
+    blocks = []
+    while walk:
+        v, nbrs = walk[-1]
+        for w in nbrs:
+            if disc[w] < 0:
+                disc[w] = low[w] = count
+                count += 1
+                stack.append(w)
+                walk.append((w, iter(adj[w])))
+                break
+            low[v] = min(low[v], disc[w])
+        else:
+            walk.pop()
+            if walk:
+                u = walk[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    block = [u]
+                    while block[-1] != v:
+                        block.append(stack.pop())
+                    blocks.append(sorted(block))
+    return sorted(blocks)
 
 
 def cartesian_product(gx: MetricGraph, gy: MetricGraph) -> MetricGraph:

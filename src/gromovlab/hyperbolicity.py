@@ -7,19 +7,33 @@ w, x, y, z form the three pairwise distance sums
 
 the defect of the quadruple is (largest sum - middle sum) and the constant is
 half the maximal defect.  On unit-edge graphs this is always a half-integer.
-Exact mode enumerates all quadruples (with an O(n^4) size guard); sampled
-mode draws quadruples from a seeded generator.
+
+Exact mode (behind a vertex-count size guard) rests on three facts: the
+constant of a graph is the maximum over its biconnected blocks, each of
+which is isometric in it; a defect is at most twice the smallest of the six
+pairwise distances; and a defect is at most the diameter.  The blocks are
+scanned largest first, skipping vertex pairs too close to beat the best
+defect so far and stopping once it reaches the block's diameter.  A second
+scan of the whole graph, over the vertices that can belong to the first
+attaining quadruple, then reports the lexicographically smallest quadruple
+attaining the maximum.  Sampled mode draws quadruples from a seeded
+generator.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .graphs import MetricGraph, SizeLimitError, check_int, multi_source_distances
+from .graphs import (
+    MetricGraph,
+    SizeLimitError,
+    biconnected_blocks,
+    check_int,
+    multi_source_distances,
+)
 
 EXACT_SIZE_GUARD = 300
 
@@ -47,29 +61,78 @@ def _defect_top_mid(s1, s2, s3):
     return np.maximum(s1, mx) - mid
 
 
-def _exact_scan(D: np.ndarray, i_range) -> tuple:
-    """Max defect and first witness over quadruples i<j<k<l with i in i_range."""
+def _max_defect(D: np.ndarray, best: int) -> int:
+    """Largest quadruple defect of the block with distance matrix ``D`` if it
+    exceeds ``best``, else ``best``.
+
+    Vectorized over the last two vertices of i<j<k<l.  A defect is at most
+    twice each of the six pairwise distances, so a pair (i, j) with
+    2 d(i, j) <= best cannot raise the maximum and is skipped; a defect is
+    at most the diameter, so the scan stops once ``best`` reaches it.
+    """
     n = D.shape[0]
-    best = -1
-    witness = None
-    for i in i_range:
-        for j in range(i + 1, n - 1):
+    diam = int(D.max())
+    if diam <= best:
+        return best
+    if 2 * diam <= np.iinfo(np.int16).max:
+        D = D.astype(np.int16)  # narrower rows, faster passes
+    for i in range(n - 3):
+        row = D[i]
+        for j in range(i + 1, n - 2):
+            dij = row[j]
+            if 2 * dij <= best:
+                continue
             lo = j + 1
-            sub = D[lo:, lo:]
-            s1 = int(D[i, j]) + sub
-            s2 = D[i, lo:][:, None] + D[j, lo:][None, :]
-            defect = _defect_top_mid(s1, s2, s2.T)
-            defect = np.triu(defect, 1)
-            m = int(defect.max(initial=0))
+            s1 = D[lo:, lo:] + dij
+            s2 = row[lo:, None] + D[j, lo:]
+            s3 = s2.T
+            # the defect is the largest sum minus the next; (k, l) and (l, k)
+            # hold the same quadruple with s2 and s3 swapped, and k = l gives
+            # at most 0, so two of the three "sum minus the other two" terms
+            # over the full square cover every quadruple
+            m = max(
+                int((s1 - np.maximum(s2, s3)).max()),
+                int((s2 - np.maximum(s1, s3)).max()),
+            )
             if m > best:
-                flat = int(np.argmax(defect))
-                width = n - lo
-                k = lo + flat // width
-                # with every defect 0, argmax lands on the zeroed diagonal
-                l = lo + flat % width if m else k + 1
                 best = m
-                witness = (i, j, k, l)
-    return best, witness
+                if best >= diam:
+                    return best
+    return best
+
+
+def _first_witness(D: np.ndarray, blocks: list, t: int) -> tuple:
+    """First quadruple i<j<k<l, in lexicographic order, whose defect is ``t``,
+    the maximum.
+
+    Two filters keep every tie.  A quadruple whose four gates (nearest
+    vertices) in a block are distinct has the defect of its gates, and one
+    with a positive defect has such a block; so the first quadruple uses only
+    the smallest vertex of each gate's fiber, in blocks of diameter >= t.
+    And only vertices at distance >= t/2 from both i and j can complete it.
+    """
+    if t == 0:
+        return (0, 1, 2, 3)
+    keep = np.zeros(D.shape[0], dtype=bool)
+    for b in blocks:
+        if len(b) >= 4 and D[np.ix_(b, b)].max() >= t:
+            gates = D[:, b].argmin(axis=1)
+            keep[np.unique(gates, return_index=True)[1]] = True
+    ids = np.flatnonzero(keep)
+    D = D[np.ix_(ids, ids)]
+    far = 2 * D >= t
+    for i in range(len(ids) - 3):
+        for j in np.flatnonzero(far[i, i + 1:]) + i + 1:
+            c = np.flatnonzero(far[i, j + 1:] & far[j, j + 1:]) + j + 1
+            if len(c) < 2:
+                continue
+            s2 = D[i, c][:, None] + D[j, c][None, :]
+            defect = _defect_top_mid(int(D[i, j]) + D[np.ix_(c, c)], s2, s2.T)
+            hit = np.triu(defect == t, 1)
+            if hit.any():
+                k, l = divmod(int(np.argmax(hit)), len(c))
+                return tuple(int(ids[v]) for v in (i, j, c[k], c[l]))
+    raise AssertionError(f"no quadruple attains the maximum defect {t}")
 
 
 def four_point_delta(
@@ -77,15 +140,18 @@ def four_point_delta(
     mode: str = "exact",
     samples: int | None = None,
     seed: int | None = None,
-    threads: int = 1,
     size_guard: int = EXACT_SIZE_GUARD,
 ) -> DeltaReport:
     """Four-point hyperbolicity constant, exact or sampled.
 
-    Exact mode refuses graphs above ``size_guard`` vertices.  Sampled mode
-    needs ``samples`` >= 1 and a seed; its value never exceeds the exact one.
-    The witness is the first quadruple attaining the maximum in scan order,
-    so reports are reproducible bit for bit.
+    Exact mode refuses graphs above ``size_guard`` vertices.  It takes the
+    maximum defect over the biconnected blocks, largest first, each scanned
+    with the pair and diameter bounds of ``_max_defect``.  The witness is the
+    lexicographically smallest quadruple of the whole graph attaining that
+    maximum, found by a second, bounded scan; it may span several blocks, and
+    on a graph with delta 0 it is (0, 1, 2, 3).  Reports are therefore
+    reproducible bit for bit.  Sampled mode needs ``samples`` >= 1 and a
+    seed; its value never exceeds the exact one.
     """
     if mode == "exact":
         if g.n > size_guard:
@@ -96,17 +162,13 @@ def four_point_delta(
         if g.n < 4:
             return DeltaReport(0.0, "exact", None, None, None, g.n)
         D = g.distance_matrix()
-        if threads and threads > 1:
-            chunks = [range(i, g.n - 3, threads) for i in range(min(threads, g.n - 3))]
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                results = list(pool.map(_exact_scan, [D] * len(chunks), chunks))
-            # deterministic fold: same winner as the serial scan
-            best, witness = -1, None
-            for b, w in results:
-                if b > best or (b == best and w is not None and (witness is None or w < witness)):
-                    best, witness = b, w
-        else:
-            best, witness = _exact_scan(D, range(g.n - 3))
+        blocks = biconnected_blocks(g)
+        best = 0
+        for b in sorted(blocks, key=len, reverse=True):
+            if len(b) < 4:
+                break
+            best = _max_defect(D[np.ix_(b, b)], best)
+        witness = _first_witness(D, blocks, best)
         return DeltaReport(best / 2.0, "exact", None, None, witness, g.n)
 
     if mode == "sampled":

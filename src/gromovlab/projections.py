@@ -102,6 +102,25 @@ def triple_distance(g: MetricGraph, fam: SubgraphFamily, a: int, b: int, c: int)
     return ProjectionTable(g, fam).triple(a, b, c)
 
 
+def projection_constant(g: MetricGraph, fam: SubgraphFamily, table=None) -> int:
+    """R: the largest diameter of the projection of one member onto another,
+    exact over every ordered pair (axiom 1), read from ``table`` if given."""
+    fam.validate_against(g)
+    m = len(fam)
+    if m < 2:
+        raise ValueError("axiom check needs at least two family members")
+    if table is None:
+        table = ProjectionTable(g, fam)
+    # every projection first: it caches the distance rows that the diameters read
+    projs = [table.proj(c, d) for c in range(m) for d in range(m) if c != d]
+    return max(set_diameter(g, p) for p in projs)
+
+
+def auto_theta(R: int) -> float:
+    """The heuristic theta = 3R + 3 that ``theta="auto"`` resolves to."""
+    return float(3 * R + 3)
+
+
 @dataclass
 class AxiomReport:
     R_measured: int
@@ -139,20 +158,14 @@ def axiom_check(
     sampled member pairs (a, b), the number of members c with d_c(a,b) > theta
     (always finite here; the count distribution is the signal).
     """
-    fam.validate_against(g)
-    m = len(fam)
-    if m < 2:
-        raise ValueError("axiom check needs at least two family members")
     check_int("triple_budget", triple_budget, 1)
     check_int("axiom3_budget", axiom3_budget, 0)
-
     table = ProjectionTable(g, fam)
-    # every projection first: it caches the distance rows that the diameters read
-    projs = [table.proj(c, d) for c in range(m) for d in range(m) if c != d]
-    R_measured = max(set_diameter(g, p) for p in projs)
+    R_measured = projection_constant(g, fam, table)
+    m = len(fam)
 
     if theta == "auto":
-        theta_val = 3 * R_measured + 3
+        theta_val = auto_theta(R_measured)
         theta_mode = "auto"
     else:
         theta_val = float(theta)

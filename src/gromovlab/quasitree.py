@@ -22,7 +22,14 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .electrify import ElectrifiedGraph, SubgraphFamily, cone_visits, electrify, is_efficient
-from .graphs import MetricGraph, graph_from_obj, graph_to_obj, multi_source_distances, unwrap_payload
+from .graphs import (
+    MetricGraph,
+    check_int_pairs,
+    graph_from_obj,
+    graph_to_obj,
+    multi_source_distances,
+    unwrap_payload,
+)
 from .projections import ProjectionTable
 
 
@@ -224,7 +231,7 @@ def y_from_obj(obj) -> QuasiTreeSpace:
             raise ValueError(f'quasi-tree JSON is missing "{key}"')
     return QuasiTreeSpace(
         graph=graph_from_obj(obj["graph"]),
-        tags=[(int(c), int(v)) for c, v in obj["tags"]],
+        tags=[tuple(tag) for tag in check_int_pairs("tags", obj["tags"])],
         theta=float(obj["theta"]),
         rule=obj["rule"],
         cross_edges=obj.get("cross_edges", []),

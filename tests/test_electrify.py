@@ -136,6 +136,14 @@ def test_cone_structure_validation_catches_corruption():
         eg_from_obj({"base_size": 3})
 
 
+@pytest.mark.parametrize("cones", [5, [[0, 5, 1]]], ids=["not-a-list", "not-a-pair"])
+def test_eg_loader_rejects_mistyped_cones(cones):
+    bad = eg_to_obj(electrify(*ring_instance(1, 1, 12)))
+    bad["cones"] = cones
+    with pytest.raises(FormatError, match="cones"):
+        eg_from_obj(bad)
+
+
 def test_cone_to_cone_edges_are_rejected():
     # two cones over adjacent singletons, plus a forged cone-cone edge
     edges = [(0, 1), (0, 2), (1, 3), (2, 3)]

@@ -12,6 +12,7 @@ import _oracles as orc
 from _corpus import SMALL_NAMES, small
 from gromovlab.graphs import (
     MetricGraph,
+    biconnected_blocks,
     cartesian_product,
     dump_json,
     graph_from_obj,
@@ -242,3 +243,20 @@ def test_set_diameter_and_bfs_views_match_networkx(g, data):
     assert np.array_equal(multi_source_distances(g, sources), D[sources].min(axis=0))
     h = orc.to_networkx(g)
     assert g.is_connected_subset(vs) == nx.is_connected(h.subgraph(vs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs())
+def test_biconnected_blocks_match_networkx(g):
+    blocks = biconnected_blocks(g)
+    assert all(b == sorted(b) for b in blocks)
+    expect = {frozenset(c) for c in nx.biconnected_components(orc.to_networkx(g))}
+    assert {frozenset(b) for b in blocks} == expect
+    assert len(blocks) == len(expect)
+
+
+def test_biconnected_blocks_of_small_shapes():
+    assert biconnected_blocks(MetricGraph(1, [])) == []
+    # two triangles sharing vertex 2, and a pendant edge at 4
+    g = MetricGraph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5)])
+    assert biconnected_blocks(g) == [[0, 1, 2], [2, 3, 4], [4, 5]]

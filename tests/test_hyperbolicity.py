@@ -1,11 +1,15 @@
 """Four-point hyperbolicity: exact scan, sampling, guards, and side gauges."""
 
+import itertools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import _oracles as orc
 from _corpus import family_instance, small
 from gromovlab.generators import cycle, grid, path, tree
-from gromovlab.graphs import SizeLimitError
+from gromovlab.graphs import MetricGraph, SizeLimitError, biconnected_blocks
 from gromovlab.hyperbolicity import (
     four_point_delta,
     intrinsic_vs_extrinsic,
@@ -101,24 +105,62 @@ def test_sampled_mode_validates_its_arguments():
         four_point_delta(g, mode="montecarlo")
 
 
-def test_threaded_scan_matches_serial_scan():
-    g = small("grid-8-8")
-    serial = four_point_delta(g, threads=1)
-    threaded = four_point_delta(g, threads=2)
-    assert (serial.delta, serial.witness) == (threaded.delta, threaded.witness)
-
-
 @pytest.mark.parametrize("g", [path(6), tree(3, 3)], ids=["path-6", "tree-3-3"])
 def test_zero_delta_witness_is_four_distinct_vertices(g):
-    serial = four_point_delta(g, threads=1)
-    threaded = four_point_delta(g, threads=2)
-    assert serial.delta == 0.0
-    assert serial.witness == (0, 1, 2, 3)
-    assert (serial.delta, serial.witness) == (threaded.delta, threaded.witness)
+    rep = four_point_delta(g)
+    assert rep.delta == 0.0
+    assert rep.witness == (0, 1, 2, 3)
     D = orc.distance_matrix(g)
-    w, x, y, z = serial.witness
+    w, x, y, z = rep.witness
     sums = sorted((D[w, x] + D[y, z], D[w, y] + D[x, z], D[w, z] + D[x, y]))
     assert sums[2] - sums[1] == 0
+
+
+def test_witness_is_the_first_attaining_quadruple_of_the_whole_graph():
+    assert four_point_delta(small("rings-2-3-12")).witness == (0, 1, 15, 20)
+    # a pendant vertex 0 on the cycle 1..8: the maximum is attained inside the
+    # cycle, first by (1, 3, 5, 7), but (0, 3, 5, 7) comes earlier and spans
+    # both blocks
+    g = MetricGraph(9, [(0, 1)] + [(v, v % 8 + 1) for v in range(1, 9)])
+    assert biconnected_blocks(g) == [[0, 1], [1, 2, 3, 4, 5, 6, 7, 8]]
+    rep = four_point_delta(g)
+    assert (rep.delta, rep.witness) == (2.0, (0, 3, 5, 7))
+    assert orc.quadruple_defect(orc.distance_matrix(g), (1, 3, 5, 7)) == 4
+
+
+@st.composite
+def shuffled_connected_graphs(draw):
+    """Random spanning tree plus chords on 4-14 vertices, ids shuffled so
+    that blocks are not runs of consecutive ids."""
+    n = draw(st.integers(min_value=4, max_value=14))
+    ids = draw(st.permutations(range(n)))
+    edges = {
+        tuple(sorted((ids[draw(st.integers(0, v - 1))], ids[v]))) for v in range(1, n)
+    }
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return MetricGraph(n, sorted(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_connected_graphs())
+# a 4-cycle with a roof: defect 1 comes first, then 2, the diameter
+@example(MetricGraph(5, [(0, 1), (0, 4), (1, 2), (1, 4), (2, 3), (3, 4)]))
+def test_exact_delta_and_witness_match_bruteforce_on_random_graphs(g):
+    rep = four_point_delta(g)
+    D = orc.distance_matrix(g)
+    assert rep.delta == orc.delta_bruteforce(D)
+    first = next(
+        q for q in itertools.combinations(range(g.n), 4)
+        if orc.quadruple_defect(D, q) == 2 * rep.delta
+    )
+    assert rep.witness == first
+    per_block = [
+        orc.delta_bruteforce(orc.distance_matrix(g.induced(b)[0]))
+        for b in biconnected_blocks(g)
+    ]
+    assert rep.delta == max(per_block)
 
 
 def test_quasiconvexity_of_rings_and_grid_rows_is_zero():

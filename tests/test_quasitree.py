@@ -144,3 +144,12 @@ def test_y_json_round_trip():
     assert back.diff == y.diff
     with pytest.raises(ValueError, match="missing"):
         y_from_obj({"graph": {}, "tags": []})
+
+
+@pytest.mark.parametrize("tags", [5, [[0, 1, 2]]], ids=["not-a-list", "not-a-pair"])
+def test_y_loader_rejects_mistyped_tags(tags):
+    _, _, _, _, y = quasitree_setup(2, 3, 12)
+    bad = y_to_obj(y)
+    bad["tags"] = tags
+    with pytest.raises(ValueError, match="tags"):
+        y_from_obj(bad)

@@ -14,8 +14,11 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from .graphs import (
     MetricGraph,
+    _bfs_levels,
     bfs_levels,
     check_int,
     check_int_lists,
@@ -79,33 +82,32 @@ def load_cover(g: MetricGraph, path) -> Cover:
 
 
 def multiplicity_check(g: MetricGraph, cover, R: int) -> tuple:
-    """Exhaustive verifier: for every vertex, count blocks meeting its R-ball.
+    """Exhaustive verifier: the R-multiplicity of the blocks, by dilation.
 
-    Returns (max multiplicity, witness vertex).  Raises if the blocks do not
-    cover the graph.
+    A block meets the R-ball of v exactly when v lies in the block's
+    R-neighbourhood, so one truncated BFS per block, adding 1 to every vertex
+    it reaches, counts the blocks meeting every R-ball at once.  Returns
+    (max multiplicity, first vertex attaining it).  Raises if the blocks do
+    not cover the graph.
     """
     blocks = cover.blocks if isinstance(cover, Cover) else tuple(cover)
     R = check_int("scale R", R, 0)
-    membership = [[] for _ in range(g.n)]
+    covered = [False] * g.n
     for bi, block in enumerate(blocks):
         for v in block:
             if v < 0 or v >= g.n:
                 raise ValueError(f"block {bi} references unknown vertex {v}")
-            membership[v].append(bi)
-    uncovered = [v for v in range(g.n) if not membership[v]]
+            covered[v] = True
+    uncovered = [v for v in range(g.n) if not covered[v]]
     if uncovered:
         head = ", ".join(str(v) for v in uncovered[:10])
         raise ValueError(f"blocks do not cover the graph; {len(uncovered)} uncovered (e.g. {head})")
-    best = 0
-    witness = 0
-    for v in range(g.n):
-        touched = set()
-        for u in g.ball(v, R):
-            touched.update(membership[u])
-        if len(touched) > best:
-            best = len(touched)
-            witness = v
-    return best, witness
+    count = np.zeros(g.n, dtype=np.int64)
+    for block in blocks:
+        for _, level in _bfs_levels(g._adj, set(block), R):
+            count[level] += 1
+    witness = int(count.argmax())
+    return int(count[witness]), witness
 
 
 def _coords(g: MetricGraph, params) -> list:

@@ -223,10 +223,11 @@ def eg_from_obj(obj) -> ElectrifiedGraph:
         raise FormatError('electrified-graph JSON needs "graph", "base_size", "cones"')
     try:
         graph = graph_from_obj(obj["graph"])
+        base_size = check_int("base_size", obj["base_size"], 0)
         cone_of = dict(check_int_pairs("cones", obj.get("cones", [])))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    return ElectrifiedGraph(graph, obj["base_size"], cone_of)
+    return ElectrifiedGraph(graph, base_size, cone_of)
 
 
 def load_eg(path) -> ElectrifiedGraph:

@@ -261,30 +261,59 @@ def multi_source_distances(g: MetricGraph, sources) -> np.ndarray:
 
 
 def set_diameter(g: MetricGraph, vertices) -> int:
-    """Diameter of a vertex set in the ambient graph metric.
+    """Diameter of a vertex set S in the ambient graph metric, exact.
 
-    A source whose distance row is already cached reads it.  Any other runs a
-    BFS that stops once the whole set has been reached and caches nothing, so
-    callers with many one-off sets (cover blocks) do not fill the row cache.
+    When every member's distance row is cached, the rows are read directly.
+    Otherwise each member keeps bounds lo <= ecc_S <= hi (Takes and Kosters,
+    "Determining the diameter of small world networks", 2011): a source at
+    distances d from S with e = max d gives lo >= max(d, e - d) and
+    hi <= e + d.  Sources alternate between the open member of largest hi and
+    the one of smallest lo, and a member closes once hi <= best, the largest
+    lower bound so far, so only members that cannot raise it are skipped.  A
+    source reads its cached row if there is one and otherwise runs a BFS
+    that stops once all of S is reached and caches nothing, so callers with
+    many one-off sets (cover blocks) do not fill the row cache.
     """
     vs = sorted({_check_vertex(g.n, v) for v in vertices})
     if not vs:
         raise ValueError("diameter of an empty set")
     arr = np.asarray(vs)
+    rows = [g._dist_rows.get(s) for s in vs]
+    if all(row is not None for row in rows):
+        return max(int(row[arr].max()) for row in rows)
+    m = len(vs)
+    index = {v: i for i, v in enumerate(vs)}
     target = set(vs)
-    diam = 0
-    for s in vs:
-        row = g._dist_rows.get(s)
-        if row is not None:
-            far = int(row[arr].max())
+    lo = np.zeros(m, dtype=np.int64)
+    top = np.iinfo(np.int64).max
+    hi = np.full(m, top)
+    closed = np.zeros(m, dtype=bool)
+    widest = True
+    while not closed.all():
+        if widest:
+            i = int(np.where(closed, -1, hi).argmax())
         else:
-            remaining = len(vs)
-            for far, level in _bfs_levels(g._adj, [s]):
-                remaining -= len(target.intersection(level))
-                if not remaining:
-                    break
-        diam = max(diam, far)
-    return diam
+            i = int(np.where(closed, top, lo).argmin())
+        widest = not widest
+        if rows[i] is not None:
+            d = rows[i][arr]
+        else:
+            d = np.empty(m, dtype=np.int64)
+            remaining = m
+            for dist, level in _bfs_levels(g._adj, [vs[i]]):
+                hits = target.intersection(level)
+                if hits:
+                    d[[index[w] for w in hits]] = dist
+                    remaining -= len(hits)
+                    if not remaining:
+                        break
+        e = int(d.max())
+        np.maximum(lo, np.maximum(d, e - d), out=lo)
+        np.minimum(hi, e + d, out=hi)
+        best = int(lo.max())  # lo of the source is e
+        closed[i] = True
+        closed |= hi <= best
+    return best
 
 
 def biconnected_blocks(g: MetricGraph) -> list:

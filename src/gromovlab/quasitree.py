@@ -226,13 +226,18 @@ def y_to_obj(y: QuasiTreeSpace) -> dict:
 
 def y_from_obj(obj) -> QuasiTreeSpace:
     obj = unwrap_payload(obj)
+    if not isinstance(obj, dict):
+        raise ValueError(f"quasi-tree JSON must be an object, got {obj!r:.60}")
     for key in ("graph", "tags", "theta", "rule"):
         if key not in obj:
             raise ValueError(f'quasi-tree JSON is missing "{key}"')
+    theta = obj["theta"]
+    if isinstance(theta, bool) or not isinstance(theta, (int, float)):
+        raise ValueError(f'"theta" must be a real number, got {theta!r:.60}')
     return QuasiTreeSpace(
         graph=graph_from_obj(obj["graph"]),
         tags=[tuple(tag) for tag in check_int_pairs("tags", obj["tags"])],
-        theta=float(obj["theta"]),
+        theta=float(theta),
         rule=obj["rule"],
         cross_edges=obj.get("cross_edges", []),
         diff=obj.get("diff"),

@@ -6,6 +6,8 @@ oracles in _oracles.py stay affordable.
 
 import functools
 
+from hypothesis import strategies as st
+
 from gromovlab.electrify import electrify
 from gromovlab.generators import (
     cycle,
@@ -16,6 +18,7 @@ from gromovlab.generators import (
     tree,
     tree_of_rings,
 )
+from gromovlab.graphs import MetricGraph
 from gromovlab.projections import axiom_check
 from gromovlab.quasitree import build_quasitree
 
@@ -37,6 +40,22 @@ SMALL_NAMES = [
 
 # instances that come with a peripheral family
 FAMILY_NAMES = ["rings-1-1-12", "rings-2-3-12", "rings-3-3-12"]
+
+
+@st.composite
+def connected_graphs(draw):
+    """Random connected graphs on 2-12 vertices for hypothesis tests."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    # random spanning tree first, then optional extra edges
+    edges = set()
+    for v in range(1, n):
+        u = draw(st.integers(min_value=0, max_value=v - 1))
+        edges.add((u, v))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    for u, v in extra:
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return MetricGraph(n, sorted(edges))
 
 
 @functools.lru_cache(maxsize=None)

@@ -85,6 +85,16 @@ def set_diameter_oracle(D, vertices):
     return max(int(D[a][b]) for a in vs for b in vs)
 
 
+def multiplicity_oracle(D, blocks, R):
+    """Max number of blocks meeting one R-ball, and the first vertex whose
+    ball meets that many."""
+    counts = [
+        sum(1 for b in blocks if any(D[v][u] <= R for u in b)) for v in range(D.shape[0])
+    ]
+    best = max(counts)
+    return best, counts.index(best)
+
+
 def triple_oracle(D, members, a, b, c):
     """Diameter of the union of projections of members b and c into member a."""
     ha = list(members[a])

@@ -3,8 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _corpus import quasitree_setup, small
+import _oracles as orc
+from _corpus import connected_graphs, quasitree_setup, small
 from gromovlab.asdimlab import (
     SCALE_NOTE,
     Cover,
@@ -36,6 +39,21 @@ def test_multiplicity_check_counts_blocks_meeting_each_ball():
     ball = set(g.ball(witness, 1))
     assert sum(1 for b in singletons if ball & set(b)) == 3
     assert multiplicity_check(g, [list(range(10))], 5) == (1, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_graphs(), st.data())
+def test_multiplicity_by_dilation_matches_the_ball_recount(g, data):
+    k = data.draw(st.integers(1, 5))
+    # each vertex lies in one or more of k blocks; some blocks may stay empty
+    homes = data.draw(st.lists(st.sets(st.integers(0, k - 1), min_size=1),
+                               min_size=g.n, max_size=g.n))
+    blocks = [[v for v in range(g.n) if bi in homes[v]] for bi in range(k)]
+    if data.draw(st.booleans()):
+        blocks = [b[::-1] + b for b in blocks]  # unsorted, with repeats
+    R = data.draw(st.integers(0, 4))
+    expect = orc.multiplicity_oracle(orc.distance_matrix(g), blocks, R)
+    assert multiplicity_check(g, blocks, R) == expect
 
 
 def test_multiplicity_check_validation():

@@ -144,6 +144,14 @@ def test_eg_loader_rejects_mistyped_cones(cones):
         eg_from_obj(bad)
 
 
+@pytest.mark.parametrize("base_size", [None, "x", True, 2.0, -1])
+def test_eg_loader_rejects_mistyped_base_size(base_size):
+    bad = eg_to_obj(electrify(*ring_instance(1, 1, 12)))
+    bad["base_size"] = base_size
+    with pytest.raises(FormatError, match="base_size"):
+        eg_from_obj(bad)
+
+
 def test_cone_to_cone_edges_are_rejected():
     # two cones over adjacent singletons, plus a forged cone-cone edge
     edges = [(0, 1), (0, 2), (1, 3), (2, 3)]

@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as orc
-from _corpus import SMALL_NAMES, small
+from _corpus import SMALL_NAMES, connected_graphs, small
+from gromovlab import graphs
+from gromovlab.asdimlab import cover_at_scale
+from gromovlab.generators import farey_ball, grid, tree_of_rings
 from gromovlab.graphs import (
     MetricGraph,
     biconnected_blocks,
@@ -194,21 +197,6 @@ def test_dot_export_lists_vertices_and_edges():
     assert "start" in dot
 
 
-@st.composite
-def connected_graphs(draw):
-    n = draw(st.integers(min_value=2, max_value=12))
-    # random spanning tree first, then optional extra edges
-    edges = set()
-    for v in range(1, n):
-        u = draw(st.integers(min_value=0, max_value=v - 1))
-        edges.add((u, v))
-    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
-    for u, v in extra:
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return MetricGraph(n, sorted(edges))
-
-
 @settings(max_examples=40, deadline=None)
 @given(connected_graphs())
 def test_metric_axioms_hold_on_random_graphs(g):
@@ -243,6 +231,58 @@ def test_set_diameter_and_bfs_views_match_networkx(g, data):
     assert np.array_equal(multi_source_distances(g, sources), D[sources].min(axis=0))
     h = orc.to_networkx(g)
     assert g.is_connected_subset(vs) == nx.is_connected(h.subgraph(vs))
+
+
+def _corpus_sets():
+    """(graph maker, distance matrix, vertex sets) at sizes where the
+    eccentricity bounds prune: whole graphs, random subsets, cover blocks."""
+    rng = np.random.default_rng(5)
+    makers = [lambda: grid(17, 17), lambda: farey_ball(7), lambda: tree_of_rings(2, 3, 12)[0]]
+    for make in makers:
+        g = make()
+        sets = [list(range(g.n))]
+        for size in (2, 5, 20, g.n // 3, g.n // 2):
+            sets.append(sorted(rng.choice(g.n, size, replace=False).tolist()))
+        yield make, orc.distance_matrix(g), sets
+    big = grid(40, 40)
+    # grid distance is the l1 distance of the "x,y" coordinates
+    x, y = np.arange(big.n) % 40, np.arange(big.n) // 40
+    D = np.abs(x[:, None] - x) + np.abs(y[:, None] - y)
+    sets = [list(b) for strategy in ("interval", "brick")
+            for b in cover_at_scale(big, 4, strategy).blocks]
+    yield (lambda: grid(40, 40)), D, sets
+
+
+def test_set_diameter_matches_the_distance_matrix_on_corpus_sets():
+    rng = np.random.default_rng(7)
+    for make, D, sets in _corpus_sets():
+        warm = make()
+        warm.distance_matrix()
+        for vs in sets:
+            expect = int(D[np.ix_(vs, vs)].max())
+            cold = make()
+            assert set_diameter(cold, vs) == expect
+            assert cold._dist_rows == {}
+            half = make()
+            for v in rng.permutation(vs)[: len(vs) // 2]:
+                half.distances_from(int(v))
+            assert set_diameter(half, vs) == expect
+            assert set_diameter(warm, vs) == expect
+
+
+def test_cold_set_diameter_of_a_grid_runs_few_bfs(monkeypatch):
+    g = grid(20, 20)
+    runs = []
+    real = graphs._bfs_levels
+
+    def counting(*args, **kwargs):
+        runs.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "_bfs_levels", counting)
+    assert set_diameter(g, range(g.n)) == 38
+    assert len(runs) <= 8
+    assert g._dist_rows == {}
 
 
 @settings(max_examples=60, deadline=None)

@@ -153,3 +153,18 @@ def test_y_loader_rejects_mistyped_tags(tags):
     bad["tags"] = tags
     with pytest.raises(ValueError, match="tags"):
         y_from_obj(bad)
+
+
+@pytest.mark.parametrize("payload", [5, "y", [1, 2], None])
+def test_y_loader_rejects_non_object_payloads(payload):
+    with pytest.raises(ValueError, match="must be an object"):
+        y_from_obj(payload)
+
+
+@pytest.mark.parametrize("theta", [None, True, "3.0", [3]])
+def test_y_loader_rejects_a_theta_that_is_not_a_real_number(theta):
+    _, _, _, _, y = quasitree_setup(2, 3, 12)
+    bad = y_to_obj(y)
+    bad["theta"] = theta
+    with pytest.raises(ValueError, match="theta"):
+        y_from_obj(bad)

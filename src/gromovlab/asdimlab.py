@@ -113,7 +113,7 @@ def multiplicity_check(g: MetricGraph, cover, R: int) -> tuple:
 def _coords(g: MetricGraph, params) -> list:
     params = params or {}
     if "width" in params:
-        w = int(params["width"])
+        w = check_int("width", params["width"], 1)
         return [(v % w, v // w) for v in range(g.n)]
     labels = g.labels
     coords = []

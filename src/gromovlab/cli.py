@@ -310,7 +310,7 @@ def cmd_enlarge(args, started: float) -> int:
 
 def cmd_cover(args, started: float) -> int:
     g = load_graph(args.graph)
-    params = {"width": args.width} if args.width else None
+    params = {"width": args.width} if args.width is not None else None
     cov = cover_at_scale(g, args.scale, args.strategy, params)
     manifest = _manifest(args, started, inputs={"graph": args.graph})
     _write(f"{args.out}.cover.json", manifest, cov.to_obj())
@@ -324,7 +324,7 @@ def cmd_cover(args, started: float) -> int:
 def cmd_profile(args, started: float) -> int:
     g = load_graph(args.graph)
     scales = [int(s) for s in args.scales.split(",") if s.strip()]
-    params = {"width": args.width} if args.width else None
+    params = {"width": args.width} if args.width is not None else None
     prof = dim_profile(g, scales, args.strategy, params)
     manifest = _manifest(args, started, inputs={"graph": args.graph})
     csv_path = f"{args.out}.profile.csv"

@@ -176,7 +176,8 @@ def electrify(g: MetricGraph, fam: SubgraphFamily) -> ElectrifiedGraph:
     fam.validate_against(g)
     for c, member in enumerate(fam.members):
         hset = set(member)
-        for u in range(g.n):
+        # a vertex that cones H neighbours H's first vertex
+        for u in g.neighbors(member[0]):
             if u in hset or g.degree(u) != len(hset):
                 continue
             if set(g.neighbors(u)) == hset:

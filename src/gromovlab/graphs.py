@@ -8,6 +8,10 @@ and all operations are pure, so concurrent readers are safe.
 from __future__ import annotations
 
 import json
+import math
+import numbers
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -24,6 +28,17 @@ def check_int(name: str, value, minimum=None) -> int:
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def check_theta(value) -> float:
+    """A threshold theta as a float: a finite real number > 0 (booleans,
+    strings, nan and infinities are rejected)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"theta must be a real number, got {value!r:.60}")
+    theta = float(value)
+    if not math.isfinite(theta) or theta <= 0:
+        raise ValueError(f"theta must be a finite positive number, got {value!r}")
+    return theta
 
 
 def check_int_lists(name: str, value) -> list:
@@ -258,6 +273,28 @@ def multi_source_distances(g: MetricGraph, sources) -> np.ndarray:
     for d, level in bfs_levels(g, sources):
         row[level] = d
     return row
+
+
+def nearest_points(g: MetricGraph, H):
+    """(dist, labels) from one BFS out of H: dist[v] is the distance from v to H,
+    and bit i of the int labels[v] is set iff sorted(H)[i] is nearest to v,
+    exactly: a vertex's label is the union of its neighbours' one level closer."""
+    dist = [g.n] * g.n  # g.n: not reached yet
+    labels = [0] * g.n
+    for d, level in bfs_levels(g, H):
+        for i, w in enumerate(level):  # level 0 is sorted(H)
+            dist[w] = d
+            labels[w] = 0 if d else 1 << i
+            for x in g._adj[w]:
+                if dist[x] == d - 1:
+                    labels[w] |= labels[x]
+    return np.asarray(dist, dtype=np.int32), labels
+
+
+def nearest_set(hs: list, labels: list, xs) -> tuple:
+    """The points of hs = sorted(H) nearest to some vertex of xs, from nearest_points(g, H)."""
+    mask = reduce(or_, (labels[x] for x in xs))
+    return tuple(h for i, h in enumerate(hs) if mask >> i & 1)
 
 
 def set_diameter(g: MetricGraph, vertices) -> int:

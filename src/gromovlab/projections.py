@@ -14,7 +14,8 @@ from itertools import combinations
 import numpy as np
 
 from .electrify import SubgraphFamily
-from .graphs import MetricGraph, check_int, set_diameter
+from .graphs import MetricGraph, _check_vertex, check_int, check_theta, set_diameter
+from .graphs import multi_source_distances, nearest_points, nearest_set
 
 
 def project(g: MetricGraph, H, x: int) -> tuple:
@@ -24,46 +25,28 @@ def project(g: MetricGraph, H, x: int) -> tuple:
         raise ValueError("cannot project onto an empty vertex set")
     if not g.is_connected_subset(hs):
         raise ValueError("projection target does not induce a connected subgraph")
-    return _project_fast(g, hs, x)
-
-
-def _project_fast(g: MetricGraph, hs: list, x: int) -> tuple:
-    row = g.distances_from(x)
-    arr = np.asarray(hs)
-    dist = row[arr]
-    return tuple(int(v) for v in arr[dist == dist.min()])
+    return nearest_set(hs, nearest_points(g, hs)[1], [_check_vertex(g.n, x)])
 
 
 def hausdorff_distance(g: MetricGraph, A, B) -> int:
     """Hausdorff distance between two vertex sets in the ambient metric."""
-    a = sorted(set(A))
-    b = np.asarray(sorted(set(B)))
-    if not a or b.size == 0:
+    a, b = sorted(set(A)), sorted(set(B))
+    if not a or not b:
         raise ValueError("Hausdorff distance of an empty set")
-    d_ab = max(int(g.distances_from(x)[b].min()) for x in a)
-    a_arr = np.asarray(a)
-    d_ba = max(int(g.distances_from(int(y))[a_arr].min()) for y in b)
-    return max(d_ab, d_ba)
-
-
-def _proj_set(g: MetricGraph, target: list, source) -> tuple:
-    out = set()
-    for x in source:
-        out.update(_project_fast(g, target, x))
-    return tuple(sorted(out))
+    return int(max(multi_source_distances(g, b)[a].max(), multi_source_distances(g, a)[b].max()))
 
 
 def proj_set_diameter(g: MetricGraph, H_c, H_d) -> int:
     """Diameter of the projection of H_d onto H_c (every vertex projected)."""
     hc = sorted(set(H_c))
-    hd = sorted(set(H_d))
+    hd = sorted({_check_vertex(g.n, x) for x in H_d})
     if hc == hd:
         raise ValueError("self-projection diameter is excluded (identical members)")
     if not hc or not hd:
         raise ValueError("family members must be nonempty")
     if not g.is_connected_subset(hc):
         raise ValueError("projection target does not induce a connected subgraph")
-    return set_diameter(g, _proj_set(g, hc, hd))
+    return set_diameter(g, nearest_set(hc, nearest_points(g, hc)[1], hd))
 
 
 class ProjectionTable:
@@ -73,14 +56,24 @@ class ProjectionTable:
     def __init__(self, g: MetricGraph, fam: SubgraphFamily):
         self._g = g
         self._members = [list(mem) for mem in fam.members]
+        self._nearest = {}
         self._proj = {}
         self._triple = {}
+
+    def nearest(self, c: int):
+        """``graphs.nearest_points(g, H_c)``: (distances to H_c, labels)."""
+        if c not in self._nearest:
+            self._nearest[c] = nearest_points(self._g, self._members[c])
+        return self._nearest[c]
 
     def proj(self, c: int, d: int) -> tuple:
         """Projection of member d into member c (every vertex projected)."""
         out = self._proj.get((c, d))
         if out is None:
-            out = self._proj[c, d] = _proj_set(self._g, self._members[c], self._members[d])
+            hs = self._members[c]
+            out = self._proj[c, d] = nearest_set(hs, self.nearest(c)[1], self._members[d])
+            for p in out:  # cache the rows that the projection and triple diameters read
+                self._g.distances_from(p)
         return out
 
     def triple(self, a: int, b: int, c: int) -> int:
@@ -99,6 +92,7 @@ def triple_distance(g: MetricGraph, fam: SubgraphFamily, a: int, b: int, c: int)
     a; symmetric in (b, c)."""
     if len({a, b, c}) != 3:
         raise ValueError("triple distance needs three distinct member indices")
+    fam.validate_against(g)
     return ProjectionTable(g, fam).triple(a, b, c)
 
 
@@ -111,9 +105,7 @@ def projection_constant(g: MetricGraph, fam: SubgraphFamily, table=None) -> int:
         raise ValueError("axiom check needs at least two family members")
     if table is None:
         table = ProjectionTable(g, fam)
-    # every projection first: it caches the distance rows that the diameters read
-    projs = [table.proj(c, d) for c in range(m) for d in range(m) if c != d]
-    return max(set_diameter(g, p) for p in projs)
+    return max(set_diameter(g, table.proj(c, d)) for c in range(m) for d in range(m) if c != d)
 
 
 def auto_theta(R: int) -> float:
@@ -160,18 +152,13 @@ def axiom_check(
     """
     check_int("triple_budget", triple_budget, 1)
     check_int("axiom3_budget", axiom3_budget, 0)
+    theta_mode = "auto" if theta == "auto" else "given"
+    theta_val = None if theta_mode == "auto" else check_theta(theta)
     table = ProjectionTable(g, fam)
     R_measured = projection_constant(g, fam, table)
     m = len(fam)
-
-    if theta == "auto":
+    if theta_val is None:
         theta_val = auto_theta(R_measured)
-        theta_mode = "auto"
-    else:
-        theta_val = float(theta)
-        theta_mode = "given"
-        if theta_val <= 0:
-            raise ValueError(f"theta must be positive, got {theta}")
 
     total_triples = m * (m - 1) * (m - 2) // 6
     exhaustive = total_triples <= triple_budget

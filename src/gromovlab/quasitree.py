@@ -25,9 +25,9 @@ from .electrify import ElectrifiedGraph, SubgraphFamily, cone_visits, electrify,
 from .graphs import (
     MetricGraph,
     check_int_pairs,
+    check_theta,
     graph_from_obj,
     graph_to_obj,
-    multi_source_distances,
     unwrap_payload,
 )
 from .projections import ProjectionTable
@@ -87,7 +87,7 @@ def _exists_narrow_geodesic(eg: ElectrifiedGraph, u: int, w: int, theta: float) 
     du = graph.distances_from(u)
     dw = graph.distances_from(w)
     total = du[w]
-    on_geo = [bool(du[v] + dw[v] == total) for v in range(graph.n)]
+    on_geo = (du + dw == total).tolist()
 
     def steps(a):
         da = du[a]
@@ -129,9 +129,7 @@ def build_quasitree(
     """
     if len(fam) == 0:
         raise ValueError("cannot build a quasi-tree from an empty family")
-    theta = float(theta)
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    theta = check_theta(theta)
     if rule not in ("projection", "widepoint"):
         raise ValueError(f"unknown cross-edge rule {rule!r}")
     fam.validate_against(g)
@@ -144,20 +142,18 @@ def build_quasitree(
     edges = []
     for c, member in enumerate(members):
         inside = set(member)
-        for (a, b) in g.edges:
-            if a in inside and b in inside:
-                edges.append((tag_to_id[(c, a)], tag_to_id[(c, b)]))
+        for a in member:
+            for b in g.neighbors(a):
+                if a < b and b in inside:
+                    edges.append((tag_to_id[(c, a)], tag_to_id[(c, b)]))
 
     # projection anchor points: id-minimal at minimal distance to the partner
     table = ProjectionTable(g, fam)
     anchor = {}
-    dist_to = {}
-    for d in range(m):
-        dist_to[d] = multi_source_distances(g, members[d])
     for c in range(m):
         for d in range(m):
             if c != d:
-                anchor[c, d] = min(table.proj(c, d), key=lambda s: (int(dist_to[d][s]), s))
+                anchor[c, d] = min(table.proj(c, d), key=lambda s: (int(table.nearest(d)[0][s]), s))
 
     def projection_pairs():
         out = set()
@@ -231,13 +227,10 @@ def y_from_obj(obj) -> QuasiTreeSpace:
     for key in ("graph", "tags", "theta", "rule"):
         if key not in obj:
             raise ValueError(f'quasi-tree JSON is missing "{key}"')
-    theta = obj["theta"]
-    if isinstance(theta, bool) or not isinstance(theta, (int, float)):
-        raise ValueError(f'"theta" must be a real number, got {theta!r:.60}')
     return QuasiTreeSpace(
         graph=graph_from_obj(obj["graph"]),
         tags=[tuple(tag) for tag in check_int_pairs("tags", obj["tags"])],
-        theta=float(theta),
+        theta=check_theta(obj["theta"]),
         rule=obj["rule"],
         cross_edges=obj.get("cross_edges", []),
         diff=obj.get("diff"),

@@ -108,6 +108,14 @@ def test_brick_cover_from_width_params_matches_labels():
         cover_at_scale(bare, 2, "brick")
 
 
+@pytest.mark.parametrize("width", [0, -12, 2.5, True, "12"])
+def test_brick_width_must_be_a_positive_integer(width):
+    g = grid(12, 12)
+    bare = MetricGraph(g.n, g.edges)
+    with pytest.raises(ValueError, match="width"):
+        cover_at_scale(bare, 2, "brick", params={"width": width})
+
+
 def test_net_voronoi_cover_structure():
     g = small("grid-8-8")
     for R in (1, 2, 4):

@@ -126,6 +126,28 @@ def test_mistyped_artifacts_exit_2_without_traceback(rings, tmp_path, capsys, co
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["axioms", "quasitree", "embed"])
+def test_a_non_finite_theta_exits_2(rings, tmp_path, capsys, command, theta):
+    graph, family = rings
+    out = tmp_path / "x"
+    assert run([command, graph, family, f"--theta={theta}", "--out", str(out)]) == 2
+    assert "finite positive" in capsys.readouterr().err
+    assert list(tmp_path.glob("x.*")) == []
+
+
+@pytest.mark.parametrize("command,extra", [("cover", ["--scale", "2"]), ("profile", ["--scales", "2"])])
+def test_a_zero_brick_width_exits_2(tmp_path, capsys, command, extra):
+    out = tmp_path / "g"
+    assert run(["gen", "grid", "--width", "6", "--height", "6", "--out", str(out)]) == 0
+    graph = str(out) + ".graph.json"
+    argv = [command, graph, *extra, "--strategy", "brick", "--out", str(tmp_path / "c")]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert run([*argv, "--width", "0"]) == 2
+    assert "width must be >= 1" in capsys.readouterr().err
+
+
 def test_size_guard_exits_3(tmp_path):
     out = tmp_path / "p"
     run(["gen", "path", "--n", "400", "--out", str(out)])

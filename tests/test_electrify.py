@@ -85,6 +85,16 @@ def test_electrify_refuses_to_cone_twice():
         electrify(eg.graph, fam)
 
 
+def test_recone_error_names_the_smallest_coning_vertex():
+    # vertices 2 and 3 are both adjacent to exactly the member {0, 1}
+    g = MetricGraph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+    with pytest.raises(ValueError, match=r"member 0 is already electrified \(vertex 2 cones it\)"):
+        electrify(g, SubgraphFamily([[0, 1]]))
+    # a vertex adjacent to the member and more is not a cone
+    g = MetricGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assert electrify(g, SubgraphFamily([[0, 1]])).base_size == 4
+
+
 def test_de_electrify_inverts_electrify_on_the_corpus():
     for name in ("rings-1-1-12", "rings-2-3-12", "rings-3-3-12"):
         g, fam = family_instance(name)

@@ -23,6 +23,8 @@ from gromovlab.graphs import (
     graph_to_obj,
     load_graph,
     multi_source_distances,
+    nearest_points,
+    nearest_set,
     set_diameter,
     unwrap_payload,
 )
@@ -283,6 +285,32 @@ def test_cold_set_diameter_of_a_grid_runs_few_bfs(monkeypatch):
     assert set_diameter(g, range(g.n)) == 38
     assert len(runs) <= 8
     assert g._dist_rows == {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_graphs(), st.data())
+def test_nearest_points_and_sets_match_the_distance_matrix_argmin(g, data):
+    D = orc.distance_matrix(g)
+    H = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
+    hs = sorted(set(H))
+    dist, labels = nearest_points(g, H)
+    assert dist.tolist() == multi_source_distances(g, H).tolist()
+    for v in range(g.n):
+        assert dist[v] == min(D[v][h] for h in hs)
+        assert 0 < labels[v] < 1 << len(hs)
+        got = tuple(h for i, h in enumerate(hs) if labels[v] >> i & 1)
+        assert got == orc.projection_oracle(D, hs, v)
+    xs = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
+    union = set().union(*(orc.projection_oracle(D, hs, x) for x in xs))
+    assert nearest_set(hs, labels, xs) == tuple(sorted(union))
+
+
+def test_nearest_points_validation():
+    g = grid(3, 3)
+    with pytest.raises(ValueError, match="at least one"):
+        nearest_points(g, [])
+    with pytest.raises(ValueError, match="unknown vertex"):
+        nearest_points(g, [0, 9])
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,12 +5,13 @@ import pytest
 import _oracles as orc
 from _corpus import family_instance, small
 from gromovlab.electrify import SubgraphFamily
-from gromovlab.generators import grid, path
+from gromovlab.generators import grid, path, tree_of_rings
 from gromovlab.projections import (
     axiom_check,
     hausdorff_distance,
     proj_set_diameter,
     project,
+    projection_constant,
     set_diameter,
     triple_distance,
 )
@@ -148,3 +149,30 @@ def test_axiom_check_validation():
         axiom_check(g, fam, triple_budget=0)
     with pytest.raises(ValueError, match="positive"):
         axiom_check(g, fam, theta=-2)
+
+
+@pytest.mark.parametrize(
+    "spec,audit,rows",
+    [((2, 3, 12), axiom_check, 4), ((3, 3, 12), projection_constant, 13)],
+    ids=["axiom_check-rings-2-3-12", "projection_constant-rings-3-3-12"],
+)
+def test_the_row_cache_holds_only_the_rows_of_projection_points(spec, audit, rows):
+    g, fam = tree_of_rings(*spec)  # a fresh graph, so the row cache starts empty
+    audit(g, fam)
+    D = orc.distance_matrix(g)
+    points = set()
+    for c, hc in enumerate(fam.members):
+        for d, hd in enumerate(fam.members):
+            if c != d:
+                for x in hd:
+                    points.update(orc.projection_oracle(D, hc, x))
+    assert set(g._dist_rows) == points
+    assert len(points) == rows
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+def test_axiom_check_rejects_a_non_finite_theta(theta):
+    g = path(30)
+    fam = SubgraphFamily([range(0, 12), range(8, 20), range(16, 28)])
+    with pytest.raises(ValueError, match="finite positive"):
+        axiom_check(g, fam, theta=theta)

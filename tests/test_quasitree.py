@@ -161,10 +161,20 @@ def test_y_loader_rejects_non_object_payloads(payload):
         y_from_obj(payload)
 
 
-@pytest.mark.parametrize("theta", [None, True, "3.0", [3]])
+@pytest.mark.parametrize(
+    "theta", [None, True, "3.0", [3], float("nan"), float("inf"), float("-inf"), 0, -1.5]
+)
 def test_y_loader_rejects_a_theta_that_is_not_a_real_number(theta):
     _, _, _, _, y = quasitree_setup(2, 3, 12)
     bad = y_to_obj(y)
     bad["theta"] = theta
     with pytest.raises(ValueError, match="theta"):
         y_from_obj(bad)
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+def test_build_rejects_a_non_finite_theta(theta):
+    g = path(10)
+    fam = SubgraphFamily([range(5), range(4, 10)])
+    with pytest.raises(ValueError, match="finite positive"):
+        build_quasitree(g, fam, theta)

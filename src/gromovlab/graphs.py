@@ -314,6 +314,8 @@ def set_diameter(g: MetricGraph, vertices) -> int:
     vs = sorted({_check_vertex(g.n, v) for v in vertices})
     if not vs:
         raise ValueError("diameter of an empty set")
+    if len(vs) == 1:
+        return 0
     arr = np.asarray(vs)
     rows = [g._dist_rows.get(s) for s in vs]
     if all(row is not None for row in rows):

@@ -8,16 +8,20 @@ w, x, y, z form the three pairwise distance sums
 the defect of the quadruple is (largest sum - middle sum) and the constant is
 half the maximal defect.  On unit-edge graphs this is always a half-integer.
 
-Exact mode (behind a vertex-count size guard) rests on three facts: the
+Exact mode (behind a vertex-count size guard) rests on four facts: the
 constant of a graph is the maximum over its biconnected blocks, each of
-which is isometric in it; a defect is at most twice the smallest of the six
-pairwise distances; and a defect is at most the diameter.  The blocks are
-scanned largest first, skipping vertex pairs too close to beat the best
-defect so far and stopping once it reaches the block's diameter.  A second
-scan of the whole graph, over the vertices that can belong to the first
-attaining quadruple, then reports the lexicographically smallest quadruple
-attaining the maximum.  Sampled mode draws quadruples from a seeded
-generator.
+which is isometric in it; some quadruple of maximal defect has both pairs
+of its largest sum far-apart, so that no neighbour of either end is farther
+from the other end (Cohen, Coudert and Lancin); a defect is at most twice
+the smallest of the six pairwise distances; and a defect is at most the
+diameter.  The blocks are scanned largest first.  Within a block the
+far-apart pairs, taken by decreasing distance, are scored against each
+other in fixed-size tiles; the scan stops at the first pair too close to
+beat the best defect so far, or once that reaches the block's diameter.  A
+second scan of the whole graph, over the vertices that can belong to the
+first attaining quadruple, then reports the lexicographically smallest
+quadruple attaining the maximum.  Sampled mode draws quadruples from a
+seeded generator.
 """
 
 from __future__ import annotations
@@ -61,43 +65,71 @@ def _defect_top_mid(s1, s2, s3):
     return np.maximum(s1, mx) - mid
 
 
-def _max_defect(D: np.ndarray, best: int) -> int:
-    """Largest quadruple defect of the block with distance matrix ``D`` if it
-    exceeds ``best``, else ``best``.
+# one tile of the pair-pair scan: this many earlier pairs are gathered as
+# columns once, and later pairs are scored against them this many at a time,
+# so the scan's scratch memory is fixed whatever the number of pairs
+_TILE_COLS = 1024
+_TILE_ROWS = 256
 
-    Vectorized over the last two vertices of i<j<k<l.  A defect is at most
-    twice each of the six pairwise distances, so a pair (i, j) with
-    2 d(i, j) <= best cannot raise the maximum and is skipped; a defect is
-    at most the diameter, so the scan stops once ``best`` reaches it.
+
+def _far_apart_pairs(D: np.ndarray, nbrs: list) -> tuple:
+    """Far-apart pairs x < y of the graph with distance matrix ``D`` and
+    adjacency lists ``nbrs``: no neighbour of x is farther from y, and no
+    neighbour of y is farther from x.  Returns the arrays of x and of y.
     """
-    n = D.shape[0]
+    M = np.array([D[list(nb)].max(axis=0) for nb in nbrs])  # M[x, y]: max over nbrs of x
+    return np.nonzero(np.triu((M <= D) & (M.T <= D), 1))
+
+
+def _max_defect(D: np.ndarray, nbrs: list, best: int) -> int:
+    """Largest quadruple defect of the block with distance matrix ``D`` and
+    block adjacency lists ``nbrs`` if it exceeds ``best``, else ``best``.
+
+    Some quadruple of maximal defect has both pairs of its largest sum
+    far-apart (Cohen, Coudert and Lancin, "On computing the Gromov
+    hyperbolicity", 2015), so only pairs of far-apart pairs are scored, each
+    as d_k + d_j minus the larger of its two other sums: the defect when
+    d_k + d_j is the largest sum, at most 0 otherwise.  Pairs are taken by
+    decreasing distance; a defect is at most twice each pairwise distance,
+    so the scan stops at the first pair k with 2 d_k <= ``best``, and it
+    stops once ``best`` reaches the diameter.  Earlier pairs are gathered in
+    tiles of columns, against which later pairs are scored a chunk of rows
+    at a time in preallocated buffers of the narrowest integer type that
+    holds every score (int8 up to diameter 63).
+    """
     diam = int(D.max())
     if diam <= best:
         return best
-    if 2 * diam <= np.iinfo(np.int16).max:
-        D = D.astype(np.int16)  # narrower rows, faster passes
-    for i in range(n - 3):
-        row = D[i]
-        for j in range(i + 1, n - 2):
-            dij = row[j]
-            if 2 * dij <= best:
-                continue
-            lo = j + 1
-            s1 = D[lo:, lo:] + dij
-            s2 = row[lo:, None] + D[j, lo:]
-            s3 = s2.T
-            # the defect is the largest sum minus the next; (k, l) and (l, k)
-            # hold the same quadruple with s2 and s3 swapped, and k = l gives
-            # at most 0, so two of the three "sum minus the other two" terms
-            # over the full square cover every quadruple
-            m = max(
-                int((s1 - np.maximum(s2, s3)).max()),
-                int((s2 - np.maximum(s1, s3)).max()),
-            )
+    D = D.astype(np.min_scalar_type(-2 * diam - 1))  # holds sums and scores, ±2 diam
+    xs, ys = _far_apart_pairs(D, nbrs)
+    d = D[xs, ys]
+    order = np.argsort(-d, kind="stable")
+    xs, ys, d = xs[order], ys[order], d[order]
+    live = int(np.count_nonzero(2 * d > best))  # pairs that can still beat best
+    bufs = np.empty((3, min(live, _TILE_ROWS) * min(live, _TILE_COLS)), dtype=D.dtype)
+    a = 0
+    while a < live:
+        cols = slice(a, min(a + _TILE_COLS, live))
+        # columns of the symmetric D, made contiguous so that rows read whole
+        At = np.ascontiguousarray(D[:, xs[cols]])
+        Bt = np.ascontiguousarray(D[:, ys[cols]])
+        dj = d[cols]
+        k = a  # cells with j >= k score real quadruples too, so need no mask
+        while k < live:
+            rows = slice(k, min(k + _TILE_ROWS, live))
+            xk, yk = xs[rows], ys[rows]
+            s2, s3, t = (b[: len(xk) * len(dj)].reshape(len(xk), len(dj)) for b in bufs)
+            np.add(np.take(At, xk, 0, s2, "clip"), np.take(Bt, yk, 0, t, "clip"), out=s2)
+            np.add(np.take(Bt, xk, 0, s3, "clip"), np.take(At, yk, 0, t, "clip"), out=s3)
+            np.subtract(dj, np.maximum(s2, s3, out=s2), out=s2)
+            m = int(np.add(s2, d[rows, None], out=s2).max())
             if m > best:
                 best = m
                 if best >= diam:
                     return best
+                live = int(np.count_nonzero(2 * d > best))
+            k = rows.stop
+        a = cols.stop
     return best
 
 
@@ -146,7 +178,8 @@ def four_point_delta(
 
     Exact mode refuses graphs above ``size_guard`` vertices.  It takes the
     maximum defect over the biconnected blocks, largest first, each scanned
-    with the pair and diameter bounds of ``_max_defect``.  The witness is the
+    by ``_max_defect`` over the far-apart pairs of the block's own adjacency,
+    in tiles, with its pair and diameter exits.  The witness is the
     lexicographically smallest quadruple of the whole graph attaining that
     maximum, found by a second, bounded scan; it may span several blocks, and
     on a graph with delta 0 it is (0, 1, 2, 3).  Reports are therefore
@@ -167,7 +200,9 @@ def four_point_delta(
         for b in sorted(blocks, key=len, reverse=True):
             if len(b) < 4:
                 break
-            best = _max_defect(D[np.ix_(b, b)], best)
+            index = {v: i for i, v in enumerate(b)}
+            nbrs = [[index[w] for w in g.neighbors(v) if w in index] for v in b]
+            best = _max_defect(D[np.ix_(b, b)], nbrs, best)
         witness = _first_witness(D, blocks, best)
         return DeltaReport(best / 2.0, "exact", None, None, witness, g.n)
 

@@ -287,6 +287,20 @@ def test_cold_set_diameter_of_a_grid_runs_few_bfs(monkeypatch):
     assert g._dist_rows == {}
 
 
+def test_one_vertex_set_has_diameter_zero_without_any_row(monkeypatch):
+    g = grid(5, 5)
+    monkeypatch.setattr(graphs, "_bfs_levels", None)  # any BFS would raise
+    assert set_diameter(g, [7]) == 0
+    assert set_diameter(g, [7, 7, 7]) == 0
+    assert g._dist_rows == {}
+    with pytest.raises(ValueError, match="unknown vertex id 25"):
+        set_diameter(g, [25])
+    with pytest.raises(ValueError, match="unknown vertex id -1"):
+        set_diameter(g, [-1])
+    with pytest.raises(ValueError, match="empty set"):
+        set_diameter(g, [])
+
+
 @settings(max_examples=80, deadline=None)
 @given(connected_graphs(), st.data())
 def test_nearest_points_and_sets_match_the_distance_matrix_argmin(g, data):

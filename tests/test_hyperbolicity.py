@@ -7,10 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles as orc
-from _corpus import family_instance, small
-from gromovlab.generators import cycle, grid, path, tree
+from _corpus import connected_graphs, family_instance, small
+from gromovlab import hyperbolicity
+from gromovlab.generators import cycle, farey_ball, grid, path, tree
 from gromovlab.graphs import MetricGraph, SizeLimitError, biconnected_blocks
 from gromovlab.hyperbolicity import (
+    _far_apart_pairs,
     four_point_delta,
     intrinsic_vs_extrinsic,
     quasiconvexity_constant,
@@ -161,6 +163,77 @@ def test_exact_delta_and_witness_match_bruteforce_on_random_graphs(g):
         for b in biconnected_blocks(g)
     ]
     assert rep.delta == max(per_block)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_connected_graphs())
+def test_far_apart_pairs_match_their_definition(g):
+    D = orc.distance_matrix(g)
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    xs, ys = _far_apart_pairs(D, nbrs)
+    expect = [
+        (x, y) for x, y in itertools.combinations(range(g.n), 2)
+        if all(D[w, y] <= D[x, y] for w in nbrs[x])
+        and all(D[w, x] <= D[x, y] for w in nbrs[y])
+    ]
+    assert list(zip(xs.tolist(), ys.tolist())) == expect
+
+
+def test_far_apart_pairs_are_taken_within_each_block():
+    # a pendant at every vertex of an 8-cycle: in the whole graph no pair of
+    # cycle vertices is far-apart, in the cycle's own block every antipodal one is
+    g = MetricGraph(16, [(v, (v + 1) % 8) for v in range(8)] + [(v, v + 8) for v in range(8)])
+    rep = four_point_delta(g)
+    D = orc.distance_matrix(g)
+    assert rep.delta == orc.delta_bruteforce(D) == 2.0
+    assert orc.quadruple_defect(D, rep.witness) == 4
+
+
+def test_an_edge_can_be_one_pair_of_the_only_maximal_quadruple():
+    # two triangles on the edge 1-2: the sum d(0, 3) + d(1, 2) = 3 is the
+    # largest only with the edge, so the scan must reach pairs at distance 1
+    g = MetricGraph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    rep = four_point_delta(g)
+    assert (rep.delta, rep.witness) == (0.5, (0, 1, 2, 3))
+
+
+@pytest.mark.parametrize("name", ["farey-5", "grid-8-8", "cycle-12"])
+def test_tiles_smaller_than_the_pair_list_give_the_oracle_delta(monkeypatch, name):
+    g = small(name)
+    default = four_point_delta(g)
+    monkeypatch.setattr(hyperbolicity, "_TILE_COLS", 3)
+    monkeypatch.setattr(hyperbolicity, "_TILE_ROWS", 5)
+    rep = four_point_delta(g)
+    assert rep.delta == orc.delta_vectorized(orc.distance_matrix(g))
+    assert rep.witness == default.witness
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_connected_graphs())
+def test_tiny_tiles_match_bruteforce_on_random_graphs(g):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyperbolicity, "_TILE_COLS", 2)
+        mp.setattr(hyperbolicity, "_TILE_ROWS", 3)
+        assert four_point_delta(g).delta == orc.delta_bruteforce(orc.distance_matrix(g))
+
+
+def test_large_diameter_takes_the_int16_buffers():
+    # 2 * diam = 260 does not fit int8
+    rep = four_point_delta(cycle(260))
+    assert (rep.delta, rep.witness) == (65.0, (0, 65, 130, 195))
+
+
+def test_farey7_delta_and_witness():
+    rep = four_point_delta(farey_ball(7))
+    assert (rep.delta, rep.witness) == (1.0, (0, 17, 30, 41))
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(), st.integers(0, 2**32 - 1), st.integers(1, 50))
+def test_exact_delta_is_at_most_half_the_diameter_and_sampled_delta_below_it(g, seed, samples):
+    exact = four_point_delta(g).delta
+    assert exact <= orc.distance_matrix(g).max() / 2
+    assert four_point_delta(g, mode="sampled", samples=samples, seed=seed).delta <= exact
 
 
 def test_quasiconvexity_of_rings_and_grid_rows_is_zero():

@@ -10,7 +10,6 @@ apart, which the builder reports instead of papering over.
 
 from gromovlab import (
     SubgraphFamily,
-    axiom_check,
     build_quasitree,
     cycle,
     electrify,
@@ -23,9 +22,8 @@ from gromovlab import (
 
 def main():
     g, fam = tree_of_rings(2, 3, 12)
-    theta = axiom_check(g, fam, theta="auto").theta
-    y = build_quasitree(g, fam, theta)
-    print(f"quasi-tree at theta={theta}: {y.graph.n} vertices, "
+    y = build_quasitree(g, fam, "auto")  # theta = 3R + 3 from the measured R
+    print(f"quasi-tree at theta={y.theta}: {y.graph.n} vertices, "
           f"{len(y.graph.edges)} edges, {len(y.cross_edges)} cross edges")
 
     # Cross edges pair exactly the rings that share a skeleton vertex.
@@ -56,8 +54,8 @@ def main():
     far = max(range(g.n), key=lambda v: eg.graph.shortest_distance(0, v))
     walk = eg.graph.geodesic(0, far)
     print(f"wide points of an electrified geodesic at theta=3: "
-          f"{wide_points(eg, fam, walk, 3)} as (position, member)")
-    print(f"same walk at theta=100: {wide_points(eg, fam, walk, 100)} "
+          f"{wide_points(eg, walk, 3)} as (position, member)")
+    print(f"same walk at theta=100: {wide_points(eg, walk, 100)} "
           f"(nothing is wide at that scale)")
 
     # Failure mode: three arcs on a circle, threshold too small to glue them.

@@ -10,7 +10,6 @@ bounded by the electrified distance.
 """
 
 from gromovlab import (
-    axiom_check,
     build_quasitree,
     edge_lipschitz,
     electrify,
@@ -22,18 +21,15 @@ from gromovlab import (
 
 def setup(ring_len):
     g, fam = tree_of_rings(2, 3, ring_len)
-    theta = axiom_check(g, fam, theta="auto").theta
-    eg = electrify(g, fam)
-    y = build_quasitree(g, fam, theta)
-    return g, fam, eg, theta, y
+    return electrify(g, fam), build_quasitree(g, fam, "auto")
 
 
 def main():
     print("distortion fit across ring lengths (constants should be flat):")
     for ring_len in [12, 24, 48]:
-        g, fam, eg, theta, y = setup(ring_len)
-        rep = qi_fit(eg, fam, y, basepoint=0, theta=theta)
-        step = edge_lipschitz(eg, fam, y, basepoint=0, theta=theta)
+        eg, y = setup(ring_len)
+        rep = qi_fit(eg, y, basepoint=0)
+        step = edge_lipschitz(eg, y, basepoint=0)
         print(f"  ring_len={ring_len:<3} L={rep.L_fit:<7.4f} C={rep.C_fit:<7.4f} "
               f"violations={rep.violation_count}/{rep.n_pairs} "
               f"edge step<={step}")
@@ -42,11 +38,11 @@ def main():
               f"flags={rep.quasi_tree_flags}")
 
     # Enlargement: take the worst pair, expand its electrified geodesic.
-    g, fam, eg, theta, y = setup(12)
+    eg, _ = setup(12)
     far = max(range(eg.base_size), key=lambda v: eg.graph.shortest_distance(0, v))
     d_eg = eg.graph.shortest_distance(0, far)
     walk = eg.graph.geodesic(0, far)
-    enlarged = enlargement(eg, fam, walk)
+    enlarged = enlargement(eg, walk)
     cones = [v for v in enlarged if eg.is_cone(v)]
     print(f"\nenlargement of the geodesic 0 -> {far} (electrified length {d_eg}):")
     print(f"  base-graph walk of length {len(enlarged) - 1}, cones left: {len(cones)}")
@@ -54,7 +50,7 @@ def main():
           f"{'holds' if len(enlarged) - 1 <= 4 * d_eg + 8 else 'VIOLATED'}")
 
     worst = max(
-        (len(enlargement(eg, fam, eg.graph.geodesic(a, b))) - 1 - 4 * eg.graph.shortest_distance(a, b)
+        (len(enlargement(eg, eg.graph.geodesic(a, b))) - 1 - 4 * eg.graph.shortest_distance(a, b)
          for a in range(0, eg.base_size, 7)
          for b in range(a + 1, eg.base_size, 7)),
     )

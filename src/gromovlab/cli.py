@@ -37,8 +37,8 @@ from .generators import (
 )
 from .graphs import SizeLimitError, dump_json, graph_to_dot, graph_to_obj, load_graph
 from .hyperbolicity import four_point_delta
-from .projections import auto_theta, axiom_check, projection_constant
-from .quasitree import build_quasitree, y_to_obj
+from .projections import axiom_check
+from .quasitree import RULES, build_quasitree, y_to_obj
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,14 +95,6 @@ def _write(path, manifest: dict, data) -> None:
 def _parse_theta(raw):
     if raw == "auto":
         return "auto"
-    return float(raw)
-
-
-def _theta_value(g, fam, raw):
-    """Resolve --theta auto to the measured heuristic value, without running
-    the axiom-2 and axiom-3 parts of the audit."""
-    if raw == "auto":
-        return auto_theta(projection_constant(g, fam))
     return float(raw)
 
 
@@ -238,8 +230,9 @@ def cmd_axioms(args, started: float) -> int:
 def cmd_quasitree(args, started: float) -> int:
     g = load_graph(args.graph)
     fam = load_family(args.family)
-    theta = _theta_value(g, fam, args.theta)
-    y = build_quasitree(g, fam, theta, rule=args.rule, with_diff=not args.no_diff)
+    y = build_quasitree(
+        g, fam, _parse_theta(args.theta), rule=args.rule, with_diff=not args.no_diff
+    )
     manifest = _manifest(args, started, inputs={"graph": args.graph, "family": args.family})
     _write(f"{args.out}.y.json", manifest, y_to_obj(y))
     msg = (
@@ -256,13 +249,9 @@ def cmd_quasitree(args, started: float) -> int:
 def cmd_embed(args, started: float) -> int:
     g = load_graph(args.graph)
     fam = load_family(args.family)
-    theta = _theta_value(g, fam, args.theta)
     eg = electrify(g, fam)
-    y = build_quasitree(g, fam, theta, rule=args.rule, with_diff=False)
-    rep = qi_fit(
-        eg, fam, y, basepoint=args.basepoint, theta=theta,
-        pair_budget=args.pairs, seed=args.seed,
-    )
+    y = build_quasitree(g, fam, _parse_theta(args.theta), rule=args.rule, with_diff=False)
+    rep = qi_fit(eg, y, basepoint=args.basepoint, pair_budget=args.pairs, seed=args.seed)
     manifest = _manifest(
         args,
         started,
@@ -284,7 +273,7 @@ def cmd_enlarge(args, started: float) -> int:
     fam = load_family(args.family)
     eg = electrify(g, fam)
     walk = eg.graph.geodesic(args.src, args.dst)
-    enlarged = enlargement(eg, fam, walk)
+    enlarged = enlargement(eg, walk)
     d_base = g.shortest_distance(args.src, args.dst)
     data = {
         "src": args.src,
@@ -459,7 +448,7 @@ def _build_parser() -> _Parser:
     p.add_argument("graph")
     p.add_argument("family")
     p.add_argument("--theta", default="auto")
-    p.add_argument("--rule", choices=("projection", "widepoint"), default="projection")
+    p.add_argument("--rule", choices=RULES, default="projection")
     p.add_argument("--no-diff", action="store_true", help="skip evaluating the other rule")
     _add_out(p)
     p.set_defaults(func=cmd_quasitree)
@@ -468,7 +457,7 @@ def _build_parser() -> _Parser:
     p.add_argument("graph")
     p.add_argument("family")
     p.add_argument("--theta", default="auto")
-    p.add_argument("--rule", choices=("projection", "widepoint"), default="projection")
+    p.add_argument("--rule", choices=RULES, default="projection")
     p.add_argument("--basepoint", type=int, default=0)
     p.add_argument("--pairs", type=int, default=2000)
     p.add_argument("--seed", type=int, default=11)

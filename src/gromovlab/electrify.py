@@ -35,7 +35,7 @@ class SubgraphFamily:
     def __init__(self, members):
         norm = []
         for member in members:
-            vs = tuple(sorted({int(v) for v in member}))
+            vs = tuple(sorted({check_int("vertex id", v) for v in member}))
             if not vs:
                 raise ValueError("family member must be a nonempty vertex set")
             if any(v < 0 for v in vs):
@@ -196,18 +196,15 @@ def electrify(g: MetricGraph, fam: SubgraphFamily) -> ElectrifiedGraph:
 
 
 def de_electrify(eg: ElectrifiedGraph):
-    """Inverse of electrify: returns (base graph, family), validating the
-    cone structure on the way.  Round trips exactly."""
+    """Inverse of electrify: returns (base graph, family), checking that each
+    member is connected in the base graph.  Round trips exactly."""
     graph = eg.graph
     base_size = eg.base_size
-    _validate_cone_structure(graph, base_size, eg.cone_of)
     base_edges = [(u, v) for (u, v) in graph.edges if u < base_size and v < base_size]
     base_labels = {v: lab for v, lab in graph.labels.items() if v < base_size}
     base = MetricGraph(base_size, base_edges, base_labels or None)
-    members = [graph.neighbors(eg.cone_of[c]) for c in sorted(eg.cone_of)]
-    fam = SubgraphFamily(members)
-    fam.validate_against(base)
-    return base, fam
+    eg.family.validate_against(base)
+    return base, eg.family
 
 
 def eg_to_obj(eg: ElectrifiedGraph) -> dict:

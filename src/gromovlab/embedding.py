@@ -15,43 +15,26 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .electrify import ElectrifiedGraph, SubgraphFamily, cone_visits
-from .graphs import MetricGraph, check_int
-from .hyperbolicity import EXACT_SIZE_GUARD, DeltaReport, four_point_delta
+from .electrify import ElectrifiedGraph, cone_visits
+from .graphs import MetricGraph, SizeLimitError, check_int
+from .hyperbolicity import DeltaReport, four_point_delta
 from .quasitree import QuasiTreeSpace
 
 QUASI_TREE_DELTA_CUTOFF = 2.0
 
 
-def _check_setup(eg: ElectrifiedGraph, fam: SubgraphFamily, y: QuasiTreeSpace, theta):
-    if fam != eg.family:
-        raise ValueError("family does not match the electrified graph")
-    if theta is not None and float(theta) != y.theta:
-        raise ValueError(
-            f"theta mismatch: quasi-tree was built at {y.theta}, got {theta}"
-        )
-
-
-def _basepoint_tag(fam: SubgraphFamily, basepoint: int) -> tuple:
-    for c, member in enumerate(fam.members):
+def _basepoint_tag(eg: ElectrifiedGraph, basepoint: int) -> tuple:
+    for c, member in enumerate(eg.family.members):
         if basepoint in member:
             return (c, basepoint)
     raise ValueError(f"basepoint {basepoint} lies in no family member")
 
 
-def cone_exit_anchor(
-    eg: ElectrifiedGraph,
-    fam: SubgraphFamily,
-    y: QuasiTreeSpace,
-    basepoint: int,
-    target: int,
-    theta=None,
-) -> tuple:
+def cone_exit_anchor(eg: ElectrifiedGraph, y: QuasiTreeSpace, basepoint: int, target: int) -> tuple:
     """Tagged quasi-tree vertex where the canonical geodesic from the
     basepoint to ``target`` last exits a cone; basepoint's own tag if the
     geodesic crosses no cone."""
-    _check_setup(eg, fam, y, theta)
-    base_tag = _basepoint_tag(fam, basepoint)
+    base_tag = _basepoint_tag(eg, basepoint)
     if target < 0 or target >= eg.base_size:
         raise ValueError(f"target {target} is not a base vertex")
     walk = eg.graph.geodesic(basepoint, target)
@@ -62,29 +45,22 @@ def cone_exit_anchor(
     return (c, walk[k + 1])
 
 
-def _anchor_ids(eg: ElectrifiedGraph, fam: SubgraphFamily, y: QuasiTreeSpace, basepoint: int):
+def _anchor_ids(eg: ElectrifiedGraph, y: QuasiTreeSpace, basepoint: int):
     """Memoized base vertex -> quasi-tree id of its cone-exit anchor."""
     memo = {}
 
     def anchor_id(v):
         out = memo.get(v)
         if out is None:
-            out = memo[v] = y.id_of(cone_exit_anchor(eg, fam, y, basepoint, v))
+            out = memo[v] = y.id_of(cone_exit_anchor(eg, y, basepoint, v))
         return out
 
     return anchor_id
 
 
-def embed_point(
-    eg: ElectrifiedGraph,
-    fam: SubgraphFamily,
-    y: QuasiTreeSpace,
-    basepoint: int,
-    target: int,
-    theta=None,
-) -> tuple:
+def embed_point(eg: ElectrifiedGraph, y: QuasiTreeSpace, basepoint: int, target: int) -> tuple:
     """The embedding itself: (identity coordinate, anchor coordinate)."""
-    return target, cone_exit_anchor(eg, fam, y, basepoint, target, theta)
+    return target, cone_exit_anchor(eg, y, basepoint, target)
 
 
 def product_distance(eg: ElectrifiedGraph, y: QuasiTreeSpace, image_a, image_b) -> int:
@@ -96,12 +72,10 @@ def product_distance(eg: ElectrifiedGraph, y: QuasiTreeSpace, image_a, image_b) 
     )
 
 
-def enlargement(eg: ElectrifiedGraph, fam: SubgraphFamily, walk) -> list:
+def enlargement(eg: ElectrifiedGraph, walk) -> list:
     """Push an electrified-graph geodesic back into the base graph by
     replacing every cone excursion entry -> cone -> exit with an intrinsic
     member geodesic between entry and exit."""
-    if fam != eg.family:
-        raise ValueError("family does not match the electrified graph")
     if not walk:
         raise ValueError("empty walk")
     if eg.is_cone(walk[0]) or eg.is_cone(walk[-1]):
@@ -148,10 +122,11 @@ class EmbeddingReport:
 
 
 def _delta_diagnostic(g: MetricGraph, seed: int) -> DeltaReport:
-    """δ of a side graph: exact within the exact-mode size guard, sampled above it."""
-    if g.n <= EXACT_SIZE_GUARD:
-        return four_point_delta(g, mode="exact")
-    return four_point_delta(g, mode="sampled", samples=4000, seed=seed)
+    """δ of a side graph: exact where exact mode accepts it, sampled where it refuses."""
+    try:
+        return four_point_delta(g)
+    except SizeLimitError:
+        return four_point_delta(g, mode="sampled", samples=4000, seed=seed)
 
 
 def _min_L_for_pair(d_g: int, d_p: int) -> float:
@@ -163,10 +138,8 @@ def _min_L_for_pair(d_g: int, d_p: int) -> float:
 
 def qi_fit(
     eg: ElectrifiedGraph,
-    fam: SubgraphFamily,
     y: QuasiTreeSpace,
     basepoint: int,
-    theta=None,
     pair_budget: int = 2000,
     seed: int | None = 11,
 ) -> EmbeddingReport:
@@ -177,11 +150,10 @@ def qi_fit(
     (flagging which parts look quasi-tree-like at desk scale), since the
     embedding is only informative when those parts are tree-like.
     """
-    _check_setup(eg, fam, y, theta)
     check_int("pair_budget", pair_budget, 1)
     base = eg.base_graph()
     rng = np.random.default_rng(seed)
-    anchor_id = _anchor_ids(eg, fam, y, basepoint)
+    anchor_id = _anchor_ids(eg, y, basepoint)
     records = []
     L_fit = 1.0
     for _ in range(pair_budget):
@@ -206,7 +178,7 @@ def qi_fit(
 
     diag_seed = 0 if seed is None else seed
     eg_report = _delta_diagnostic(eg.graph, diag_seed)
-    peripheral = [_delta_diagnostic(eg.intrinsic(c)[0], diag_seed) for c in range(len(fam))]
+    peripheral = [_delta_diagnostic(eg.intrinsic(c)[0], diag_seed) for c in range(len(eg.family))]
     pmax = max((rep.delta for rep in peripheral), default=0.0)
     pmode = "sampled" if any(rep.mode == "sampled" for rep in peripheral) else "exact"
     flags = {
@@ -231,19 +203,12 @@ def qi_fit(
     )
 
 
-def edge_lipschitz(
-    eg: ElectrifiedGraph,
-    fam: SubgraphFamily,
-    y: QuasiTreeSpace,
-    basepoint: int,
-    theta=None,
-) -> int:
+def edge_lipschitz(eg: ElectrifiedGraph, y: QuasiTreeSpace, basepoint: int) -> int:
     """Exhaustive max, over all base edges (u, v), of the product distance of
     their images; finite and instance-reported (the embedding moves adjacent
     vertices a bounded amount)."""
-    _check_setup(eg, fam, y, theta)
     base = eg.base_graph()
-    anchor_id = _anchor_ids(eg, fam, y, basepoint)
+    anchor_id = _anchor_ids(eg, y, basepoint)
     worst = 0
     for (u, v) in base.edges:
         # base edges survive electrification, so the first coordinate is 1

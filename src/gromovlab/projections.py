@@ -51,9 +51,11 @@ def proj_set_diameter(g: MetricGraph, H_c, H_d) -> int:
 
 class ProjectionTable:
     """Projections between the members of a family, and the triple distances
-    read from them; both computed on first use and cached."""
+    read from them; both computed on first use and cached.  The family is
+    validated against ``g`` once, here."""
 
     def __init__(self, g: MetricGraph, fam: SubgraphFamily):
+        fam.validate_against(g)
         self._g = g
         self._members = [list(mem) for mem in fam.members]
         self._nearest = {}
@@ -92,19 +94,17 @@ def triple_distance(g: MetricGraph, fam: SubgraphFamily, a: int, b: int, c: int)
     a; symmetric in (b, c)."""
     if len({a, b, c}) != 3:
         raise ValueError("triple distance needs three distinct member indices")
-    fam.validate_against(g)
     return ProjectionTable(g, fam).triple(a, b, c)
 
 
 def projection_constant(g: MetricGraph, fam: SubgraphFamily, table=None) -> int:
     """R: the largest diameter of the projection of one member onto another,
     exact over every ordered pair (axiom 1), read from ``table`` if given."""
-    fam.validate_against(g)
+    if table is None:
+        table = ProjectionTable(g, fam)
     m = len(fam)
     if m < 2:
         raise ValueError("axiom check needs at least two family members")
-    if table is None:
-        table = ProjectionTable(g, fam)
     return max(set_diameter(g, table.proj(c, d)) for c in range(m) for d in range(m) if c != d)
 
 

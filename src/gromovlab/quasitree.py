@@ -30,7 +30,9 @@ from .graphs import (
     graph_to_obj,
     unwrap_payload,
 )
-from .projections import ProjectionTable
+from .projections import ProjectionTable, auto_theta, projection_constant
+
+RULES = ("projection", "widepoint")
 
 
 @dataclass
@@ -61,11 +63,9 @@ def y_distance(y: QuasiTreeSpace, p, q) -> int:
     return y.graph.shortest_distance(pid, qid)
 
 
-def wide_points(eg: ElectrifiedGraph, fam: SubgraphFamily, walk, theta: float) -> list:
+def wide_points(eg: ElectrifiedGraph, walk, theta: float) -> list:
     """Cone visits of an efficient walk whose entry/exit points are at
     intrinsic member distance >= theta, as (position, member index)."""
-    if fam != eg.family:
-        raise ValueError("family does not match the electrified graph")
     if not is_efficient(walk, eg):
         raise ValueError("wide points are only defined for efficient walks")
     out = []
@@ -120,7 +120,8 @@ def build_quasitree(
     rule: str = "projection",
     with_diff: bool = True,
 ) -> QuasiTreeSpace:
-    """Build the quasi-tree for the family at threshold theta.
+    """Build the quasi-tree for the family at threshold theta; ``"auto"``
+    resolves to ``auto_theta`` of the measured projection constant R.
 
     The cross-edge endpoints x_{c,d} are the id-minimal vertices of the
     projection of H_d into H_c at minimal ambient distance to H_d.  When
@@ -129,10 +130,13 @@ def build_quasitree(
     """
     if len(fam) == 0:
         raise ValueError("cannot build a quasi-tree from an empty family")
-    theta = check_theta(theta)
-    if rule not in ("projection", "widepoint"):
+    if theta != "auto":
+        theta = check_theta(theta)
+    if rule not in RULES:
         raise ValueError(f"unknown cross-edge rule {rule!r}")
-    fam.validate_against(g)
+    table = ProjectionTable(g, fam)
+    if theta == "auto":
+        theta = auto_theta(projection_constant(g, fam, table))
 
     members = [list(m) for m in fam.members]
     m = len(members)
@@ -148,7 +152,6 @@ def build_quasitree(
                     edges.append((tag_to_id[(c, a)], tag_to_id[(c, b)]))
 
     # projection anchor points: id-minimal at minimal distance to the partner
-    table = ProjectionTable(g, fam)
     anchor = {}
     for c in range(m):
         for d in range(m):
@@ -227,9 +230,17 @@ def y_from_obj(obj) -> QuasiTreeSpace:
     for key in ("graph", "tags", "theta", "rule"):
         if key not in obj:
             raise ValueError(f'quasi-tree JSON is missing "{key}"')
+    graph = graph_from_obj(obj["graph"])
+    tags = [tuple(tag) for tag in check_int_pairs("tags", obj["tags"])]
+    if len(tags) != graph.n:
+        raise ValueError(f"quasi-tree has {graph.n} vertices but {len(tags)} tags")
+    if len(set(tags)) != len(tags):
+        raise ValueError("quasi-tree tags must be distinct")
+    if obj["rule"] not in RULES:
+        raise ValueError(f"unknown cross-edge rule {obj['rule']!r:.60}")
     return QuasiTreeSpace(
-        graph=graph_from_obj(obj["graph"]),
-        tags=[tuple(tag) for tag in check_int_pairs("tags", obj["tags"])],
+        graph=graph,
+        tags=tags,
         theta=check_theta(obj["theta"]),
         rule=obj["rule"],
         cross_edges=obj.get("cross_edges", []),

@@ -130,7 +130,7 @@ def test_criterion_5_embedding_quality(capsys):
     pairs = 0
     for ring_len in (12, 24, 48):
         g, fam, eg, theta, y = quasitree_setup(2, 3, ring_len)
-        rep = qi_fit(eg, fam, y, basepoint=0, pair_budget=2000, seed=11)
+        rep = qi_fit(eg, y, basepoint=0, pair_budget=2000, seed=11)
         fits.append(rep.L_fit)
         violations += rep.violation_count
         pairs += rep.n_pairs
@@ -150,7 +150,7 @@ def test_criterion_6_enlargement_length(capsys):
     ok = True
     for u, v in combinations(range(g.n), 2):
         walk = eg.graph.geodesic(u, v)
-        big = enlargement(eg, fam, walk)
+        big = enlargement(eg, walk)
         slack = (len(big) - 1) - 4 * g.shortest_distance(u, v)
         worst = slack if worst is None else max(worst, slack)
         if slack > 8:

@@ -19,8 +19,8 @@ def _delta_samples(value):
 
 
 def _qi_fit_pairs(value):
-    _, fam, eg, _, y = quasitree_setup(2, 3, 12)
-    qi_fit(eg, fam, y, basepoint=0, pair_budget=value)
+    _, _, eg, _, y = quasitree_setup(2, 3, 12)
+    qi_fit(eg, y, basepoint=0, pair_budget=value)
 
 
 def _axioms_triples(value):

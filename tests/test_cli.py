@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gromovlab import projections
 from gromovlab.cli import main
 from gromovlab.electrify import load_eg
 from gromovlab.generators import tree_of_rings
@@ -154,6 +155,25 @@ def test_size_guard_exits_3(tmp_path):
     assert run(["delta", str(out) + ".graph.json", "--mode", "exact"]) == 3
     assert run(["delta", str(out) + ".graph.json", "--mode", "sampled",
                 "--samples", "200", "--seed", "1"]) == 0
+
+
+@pytest.mark.parametrize("command", ["quasitree", "embed"])
+def test_quasitree_and_embed_label_each_member_once(tmp_path, monkeypatch, command):
+    calls = []
+    original = projections.nearest_points
+
+    def counted(g, H):
+        calls.append(tuple(H))
+        return original(g, H)
+
+    monkeypatch.setattr(projections, "nearest_points", counted)
+    out = str(tmp_path / "r")
+    assert run(["gen", "tree-of-rings", "--depth", "3", "--valence", "3",
+                "--ring-len", "12", "--out", out]) == 0
+    argv = [command, out + ".graph.json", out + ".family.json", "--out", out]
+    assert run(argv + (["--pairs", "50"] if command == "embed" else [])) == 0
+    _, fam = tree_of_rings(3, 3, 12)
+    assert sorted(calls) == sorted(fam.members)
 
 
 def test_electrify_and_downstream_stages(rings, tmp_path, capsys):

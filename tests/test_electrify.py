@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _corpus import electrified, family_instance, ring_instance
+from _corpus import connected_graphs, electrified, family_instance, ring_instance
 from gromovlab.electrify import (
     ElectrifiedGraph,
     FormatError,
@@ -39,6 +41,12 @@ def test_family_rejects_bad_members():
         SubgraphFamily([[]])
     with pytest.raises(ValueError, match="negative"):
         SubgraphFamily([[-1, 0]])
+
+
+@pytest.mark.parametrize("vertex", [1.7, 2.0, True, "3", None])
+def test_family_rejects_member_ids_that_are_not_integers(vertex):
+    with pytest.raises(ValueError, match="vertex id must be an integer"):
+        SubgraphFamily([[0, vertex]])
 
 
 def test_family_validation_against_a_graph():
@@ -106,6 +114,17 @@ def test_de_electrify_inverts_electrify_on_the_corpus():
     fam = SubgraphFamily([[0, 1, 2, 3], [3, 4, 5], [6, 7]])
     base, fam_back = de_electrify(electrify(g, fam))
     assert base == g and fam_back == fam
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), st.data())
+def test_de_electrify_inverts_electrify_on_families_of_balls(g, data):
+    # balls of radius >= 1 are connected, and no vertex outside one can cone it
+    centers = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4))
+    fam = SubgraphFamily([g.ball(c, data.draw(st.integers(1, 3))) for c in centers])
+    base, fam_back = de_electrify(electrify(g, fam))
+    assert base == g
+    assert fam_back == fam
 
 
 def test_base_graph_is_cached_and_correct():

@@ -3,10 +3,10 @@
 import pytest
 
 import _oracles as orc
-from _corpus import family_instance, quasitree_setup
+from _corpus import FAMILY_NAMES, family_instance, quasitree_setup
 from gromovlab.electrify import SubgraphFamily
 from gromovlab.generators import cycle, path
-from gromovlab.projections import project
+from gromovlab.projections import axiom_check, project
 from gromovlab.quasitree import (
     build_quasitree,
     wide_points,
@@ -130,8 +130,8 @@ def test_wide_points_flags_deep_cone_crossings():
     g, fam, eg, _, _ = quasitree_setup(2, 3, 12)
     far = int(eg.graph.distances_from(0)[: g.n].argmax())
     walk = eg.graph.geodesic(0, far)
-    assert wide_points(eg, fam, walk, 3.0) == [(1, 0), (3, 3)]
-    assert wide_points(eg, fam, walk, 100.0) == []
+    assert wide_points(eg, walk, 3.0) == [(1, 0), (3, 3)]
+    assert wide_points(eg, walk, 100.0) == []
 
 
 def test_y_json_round_trip():
@@ -146,13 +146,39 @@ def test_y_json_round_trip():
         y_from_obj({"graph": {}, "tags": []})
 
 
-@pytest.mark.parametrize("tags", [5, [[0, 1, 2]]], ids=["not-a-list", "not-a-pair"])
+@pytest.mark.parametrize(
+    "tags",
+    [5, [[0, 1, 2]], [[0, 0]], [[0, 0]] * 144],
+    ids=["not-a-list", "not-a-pair", "too-few", "duplicated"],
+)
 def test_y_loader_rejects_mistyped_tags(tags):
     _, _, _, _, y = quasitree_setup(2, 3, 12)
     bad = y_to_obj(y)
     bad["tags"] = tags
     with pytest.raises(ValueError, match="tags"):
         y_from_obj(bad)
+
+
+def test_y_loader_rejects_an_unknown_rule():
+    _, _, _, _, y = quasitree_setup(2, 3, 12)
+    bad = y_to_obj(y)
+    bad["rule"] = "bogus"
+    with pytest.raises(ValueError, match="unknown cross-edge rule 'bogus'"):
+        y_from_obj(bad)
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_auto_theta_is_the_audit_theta(name):
+    # a one-member family has no R: both refuse it with the same error
+    def theta_or_error(run):
+        try:
+            return run().theta
+        except ValueError as exc:
+            return str(exc)
+
+    g, fam = family_instance(name)
+    built = theta_or_error(lambda: build_quasitree(g, fam, "auto", with_diff=False))
+    assert built == theta_or_error(lambda: axiom_check(g, fam))
 
 
 @pytest.mark.parametrize("payload", [5, "y", [1, 2], None])

@@ -199,7 +199,7 @@ def cover_at_scale(g: MetricGraph, R: int, strategy: str, params=None) -> Cover:
             for bi, bv in enumerate(blocks):
                 if any(v in reach for v in bv):
                     candidate = sorted(set(bv) | set(cell))
-                    if set_diameter(g, candidate) <= cap:
+                    if set_diameter(g, candidate, cap) <= cap:
                         target, union = bi, candidate
                         break
             if target >= 0:

@@ -11,6 +11,7 @@ import json
 import math
 import numbers
 from functools import reduce
+from itertools import chain
 from operator import or_
 
 import numpy as np
@@ -73,9 +74,11 @@ def _bfs_levels(adj, seeds, radius=None, within=None):
     (d, vertices at distance d from ``seeds``) level by level, up to
     ``radius`` if given, walking only through ``within`` if given.
 
-    The one BFS of the package.  It trusts its inputs: seeds are distinct
-    valid ids, checked once by the caller.  Consumers that stop early just
-    stop iterating, and the remaining levels are never expanded.
+    The BFS from one seed set: rows, balls, multi-source distances,
+    connectivity, labelled BFS and dilations.  Set diameters, which need many
+    single sources, use ``_bit_bfs`` instead.  It trusts its inputs: seeds
+    are distinct valid ids, checked once by the caller.  Consumers that stop
+    early just stop iterating, and the remaining levels are never expanded.
     """
     seen = set(seeds)
     level = list(seeds)
@@ -136,6 +139,7 @@ class MetricGraph:
             self._labels = {}
         self._dist_rows: dict[int, np.ndarray] = {}
         self._dist_matrix = None
+        self._csr = None
         self._check_connected()
 
     def _check_connected(self):
@@ -297,23 +301,83 @@ def nearest_set(hs: list, labels: list, xs) -> tuple:
     return tuple(h for i, h in enumerate(hs) if mask >> i & 1)
 
 
-def set_diameter(g: MetricGraph, vertices) -> int:
-    """Diameter of a vertex set S in the ambient graph metric, exact.
+def _csr(g: MetricGraph):
+    """(nbrs, starts): ``g._adj`` as one flat neighbour array with each
+    vertex's start offset, built once per graph."""
+    if g._csr is None:
+        starts = np.zeros(g.n, dtype=np.intp)
+        np.cumsum([len(nb) for nb in g._adj[:-1]], out=starts[1:])
+        nbrs = np.fromiter(chain.from_iterable(g._adj), dtype=np.intp, count=2 * len(g._edges))
+        g._csr = (nbrs, starts)
+    return g._csr
 
-    When every member's distance row is cached, the rows are read directly.
-    Otherwise each member keeps bounds lo <= ecc_S <= hi (Takes and Kosters,
-    "Determining the diameter of small world networks", 2011): a source at
-    distances d from S with e = max d gives lo >= max(d, e - d) and
-    hi <= e + d.  Sources alternate between the open member of largest hi and
-    the one of smallest lo, and a member closes once hi <= best, the largest
-    lower bound so far, so only members that cannot raise it are skipped.  A
-    source reads its cached row if there is one and otherwise runs a BFS
-    that stops once all of S is reached and caches nothing, so callers with
-    many one-off sets (cover blocks) do not fill the row cache.
+
+def _bit_bfs(g: MetricGraph, sources, targets, cap=None) -> np.ndarray:
+    """(k, m) distances from k <= 64 distinct ``sources`` to m ``targets``,
+    from one bit-parallel BFS (Akiba, Iwata and Yoshida, SIGMOD 2013).
+
+    Every vertex holds a uint64 word whose bit i is set once source i has
+    reached it; one level ORs each word with its neighbours' words.  The
+    search stops once every target holds every bit, or after level cap + 1,
+    and targets still unreached then read cap + 2, a lower bound.  Levels are
+    recorded as they come: a target's distance from source i is the number
+    of levels at which bit i was missing, kept in bit-sliced counters (word j
+    holds bit j of every count), so a pass holds one word per vertex and
+    log2(levels + 2) words per target.  It trusts its inputs, as
+    ``_bfs_levels`` does.
+    """
+    nbrs, starts = _csr(g)
+    targets = np.asarray(targets, dtype=np.intp)
+    k = len(sources)
+    reach = np.zeros(g.n, dtype=np.uint64)
+    reach[sources] = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+    full = np.bitwise_or.reduce(reach[sources])
+    last = g.n if cap is None else cap + 1  # no distance reaches n
+    counts = []
+    d = 0
+    while True:
+        carry = full & ~reach[targets]
+        if not carry.any():
+            break
+        for j, word in enumerate(counts):
+            counts[j], carry = word ^ carry, word & carry
+            if not carry.any():
+                break
+        else:
+            counts.append(carry)
+        if d == last:
+            break
+        reach |= np.bitwise_or.reduceat(reach[nbrs], starts)
+        d += 1
+    out = np.zeros((k, len(targets)), dtype=np.int32)
+    for word in reversed(counts):  # Horner, in place: out = 2 * out + bit
+        bits = np.unpackbits(word.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+        out <<= 1
+        out += bits[:, :k].T
+    return out
+
+
+def set_diameter(g: MetricGraph, vertices, cap=None) -> int:
+    """Diameter of a vertex set S in the ambient graph metric.
+
+    Exact when ``cap`` is None or the diameter is at most ``cap``; otherwise
+    some value above ``cap`` (a lower bound on the diameter), returned as
+    soon as a pass proves it.  When every member's distance row is cached,
+    the rows are read directly.  Otherwise each member keeps bounds
+    lo <= ecc_S <= hi (Takes and Kosters, "Determining the diameter of small
+    world networks", 2011): a source at distances d from S with e = max d
+    gives lo >= max(d, e - d) and hi <= e + d.  The sources come 64 at a
+    time from ``_bit_bfs``: first 64 members spread evenly over sorted S,
+    then 32 open members of largest hi and 32 of smallest lo.  A member
+    closes once hi <= best, the largest lower bound so far.  Nothing is
+    cached, so callers with many one-off sets (cover blocks) do not fill the
+    row cache.
     """
     vs = sorted({_check_vertex(g.n, v) for v in vertices})
     if not vs:
         raise ValueError("diameter of an empty set")
+    if cap is not None:
+        cap = check_int("diameter cap", cap, 0)
     if len(vs) == 1:
         return 0
     arr = np.asarray(vs)
@@ -321,38 +385,27 @@ def set_diameter(g: MetricGraph, vertices) -> int:
     if all(row is not None for row in rows):
         return max(int(row[arr].max()) for row in rows)
     m = len(vs)
-    index = {v: i for i, v in enumerate(vs)}
-    target = set(vs)
     lo = np.zeros(m, dtype=np.int64)
-    top = np.iinfo(np.int64).max
-    hi = np.full(m, top)
+    hi = np.full(m, np.iinfo(np.int64).max)
     closed = np.zeros(m, dtype=bool)
-    widest = True
-    while not closed.all():
-        if widest:
-            i = int(np.where(closed, -1, hi).argmax())
-        else:
-            i = int(np.where(closed, top, lo).argmin())
-        widest = not widest
-        if rows[i] is not None:
-            d = rows[i][arr]
-        else:
-            d = np.empty(m, dtype=np.int64)
-            remaining = m
-            for dist, level in _bfs_levels(g._adj, [vs[i]]):
-                hits = target.intersection(level)
-                if hits:
-                    d[[index[w] for w in hits]] = dist
-                    remaining -= len(hits)
-                    if not remaining:
-                        break
-        e = int(d.max())
-        np.maximum(lo, np.maximum(d, e - d), out=lo)
-        np.minimum(hi, e + d, out=hi)
-        best = int(lo.max())  # lo of the source is e
-        closed[i] = True
+    picks = np.linspace(0, m - 1, min(m, 64)).astype(np.intp)
+    while True:
+        d = _bit_bfs(g, arr[picks], arr, cap)
+        e = d.max(axis=1, keepdims=True)
+        if cap is not None and e.max() > cap:
+            return int(e.max())  # at most the diameter: a distance or cap + 2
+        np.maximum(lo, np.maximum(d, e - d).max(axis=0), out=lo)
+        np.minimum(hi, (e + d).min(axis=0), out=hi)
+        best = int(lo.max())  # lo of a source is its e
+        closed[picks] = True
         closed |= hi <= best
-    return best
+        picks = np.flatnonzero(~closed)
+        if not picks.size:
+            return best
+        if picks.size > 64:
+            wide = picks[np.argsort(-hi[picks], kind="stable")[:32]]
+            rest = np.setdiff1d(picks, wide)
+            picks = np.concatenate([wide, rest[np.argsort(lo[rest], kind="stable")[:32]]])
 
 
 def biconnected_blocks(g: MetricGraph) -> list:

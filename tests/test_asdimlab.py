@@ -20,7 +20,7 @@ from gromovlab.asdimlab import (
     multiplicity_check,
     product_cover,
 )
-from gromovlab.generators import grid, path, tree
+from gromovlab.generators import farey_ball, grid, path, tree
 from gromovlab.graphs import MetricGraph, cartesian_product, dump_json
 
 
@@ -145,6 +145,12 @@ def test_net_voronoi_known_profiles():
     assert [r["multiplicity"] for r in proft.rows] == [2, 1, 1]
     profg = dim_profile(small("grid-8-8"), [2, 4], "net_voronoi")
     assert [r["multiplicity"] for r in profg.rows] == [1, 1]
+
+
+def test_net_voronoi_cover_of_the_farey_ball_at_scale_one():
+    # the merge asks set_diameter only whether each candidate stays within 8R
+    cov = cover_at_scale(farey_ball(9), 1, "net_voronoi")
+    assert (cov.D, cov.multiplicity, len(cov.blocks)) == (8, 3, 6)
 
 
 def test_every_strategy_rechecks_multiplicity_against_the_graph():

@@ -273,18 +273,54 @@ def test_set_diameter_matches_the_distance_matrix_on_corpus_sets():
 
 
 def test_cold_set_diameter_of_a_grid_runs_few_bfs(monkeypatch):
-    g = grid(20, 20)
-    runs = []
-    real = graphs._bfs_levels
+    passes = []
+    real = graphs._bit_bfs
 
     def counting(*args, **kwargs):
-        runs.append(args[1])
+        passes.append(len(args[1]))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(graphs, "_bfs_levels", counting)
+    monkeypatch.setattr(graphs, "_bit_bfs", counting)
+    g = grid(20, 20)
     assert set_diameter(g, range(g.n)) == 38
-    assert len(runs) <= 8
+    assert passes == [64]
     assert g._dist_rows == {}
+    passes.clear()
+    f = farey_ball(9)
+    assert set_diameter(f, range(f.n)) == 10
+    assert len(passes) <= 3
+    assert f._dist_rows == {}
+
+
+@pytest.mark.parametrize("k", [1, 63, 64])
+def test_bit_bfs_matches_multi_source_distances(k):
+    for g in (grid(9, 9), farey_ball(6), tree_of_rings(2, 3, 12)[0]):
+        sources = np.linspace(0, g.n - 1, k).astype(int)
+        rows = np.array([multi_source_distances(g, [s]) for s in sources])
+        # with k = 64 source 63 owns the top bit, so the search only ends
+        # once the full mask is all ones
+        assert np.array_equal(graphs._bit_bfs(g, sources, range(g.n)), rows)
+        targets = np.arange(0, g.n, 3)
+        for cap in (0, 2, 5):
+            capped = np.where(rows <= cap + 1, rows, cap + 2)[:, targets]
+            assert np.array_equal(graphs._bit_bfs(g, sources, targets, cap), capped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["farey-6", "rings-2-3-12"]), st.data())
+def test_capped_set_diameter_is_exact_up_to_the_cap(name, data):
+    g = small(name)
+    D = orc.distance_matrix(g)
+    # more than 64 members, so that passes after the first one can run
+    vs = data.draw(st.lists(st.integers(0, g.n - 1), min_size=65, max_size=g.n, unique=True))
+    expect = int(D[np.ix_(vs, vs)].max())
+    cap = data.draw(st.integers(0, expect + 2))
+    got = set_diameter(MetricGraph(g.n, g.edges), vs, cap)
+    if expect <= cap:
+        assert got == expect
+    else:
+        assert cap < got <= expect
+    assert set_diameter(MetricGraph(g.n, g.edges), vs) == expect
 
 
 def test_one_vertex_set_has_diameter_zero_without_any_row(monkeypatch):

@@ -296,7 +296,7 @@ def _dijkstra_path(graph: MetricGraph, weights: dict, source: int, target: int) 
         if u == target:
             break
         done.add(u)
-        for w in graph.neighbors(u):
+        for w in graph._adj[u]:
             key = (u, w) if u < w else (w, u)
             nd = d + weights[key]
             if nd < dist.get(w, float("inf")):
@@ -347,7 +347,7 @@ def penetration_profile(
         d_eg = graph.shortest_distance(u, v)
         paths = [graph.geodesic(u, v)]
         for _ in range(alternates):
-            weights = {e: float(w) for e, w in zip(graph.edges, rng.uniform(1.0, hi, len(graph.edges)))}
+            weights = dict(zip(graph.edges, rng.uniform(1.0, hi, len(graph.edges)).tolist()))
             cand = _dijkstra_path(graph, weights, u, v)
             if len(cand) - 1 <= L * d_eg + L and is_efficient(cand, eg):
                 paths.append(cand)

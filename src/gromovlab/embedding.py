@@ -154,13 +154,15 @@ def qi_fit(
     base = eg.base_graph()
     rng = np.random.default_rng(seed)
     anchor_id = _anchor_ids(eg, y, basepoint)
+    pairs = [(int(rng.integers(base.n)), int(rng.integers(base.n))) for _ in range(pair_budget)]
+    pairs = [(u, v) for u, v in pairs if u != v]
+    # the electrified rows of u and v are also the anchors' geodesic targets
+    eg.graph.prefetch_rows(w for pair in pairs for w in pair)
+    base.prefetch_rows(u for u, _ in pairs)
+    y.graph.prefetch_rows(anchor_id(u) for u, _ in pairs)
     records = []
     L_fit = 1.0
-    for _ in range(pair_budget):
-        u = int(rng.integers(base.n))
-        v = int(rng.integers(base.n))
-        if u == v:
-            continue
+    for u, v in pairs:
         d_g = base.shortest_distance(u, v)
         d_p = int(eg.graph.shortest_distance(u, v)) + int(
             y.graph.shortest_distance(anchor_id(u), anchor_id(v))
@@ -209,6 +211,8 @@ def edge_lipschitz(eg: ElectrifiedGraph, y: QuasiTreeSpace, basepoint: int) -> i
     vertices a bounded amount)."""
     base = eg.base_graph()
     anchor_id = _anchor_ids(eg, y, basepoint)
+    eg.graph.prefetch_rows(range(base.n))  # the anchors' geodesic targets
+    y.graph.prefetch_rows(anchor_id(u) for u, _ in base.edges)
     worst = 0
     for (u, v) in base.edges:
         # base edges survive electrification, so the first coordinate is 1

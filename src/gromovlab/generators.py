@@ -176,12 +176,15 @@ def tower_audit(tower) -> dict:
 # -- Farey ball ---------------------------------------------------------------
 
 
-def _farey_vertices(rounds: int):
-    # recursive mediant insertion: only edges created in the previous round
-    # spawn new mediants, so vertex count grows like 4 * 2^rounds
+def _farey_graph(rounds: int):
+    """(vertices, edges) of ``rounds`` rounds of mediant insertion from the
+    base triangle; vertices are (p, q) pairs, edges pairs of them."""
+    # only edges created in the previous round spawn new mediants, so the
+    # vertex count grows like 4 * 2^rounds
     verts = [(0, 1), (1, 1), (1, 0)]
     have = set(verts)
-    frontier = [((0, 1), (1, 1)), ((1, 1), (1, 0)), ((0, 1), (1, 0))]
+    edges = [((0, 1), (1, 1)), ((1, 1), (1, 0)), ((0, 1), (1, 0))]
+    frontier = list(edges)
     for _ in range(rounds):
         new_frontier = []
         for (a, b) in frontier:
@@ -192,8 +195,9 @@ def _farey_vertices(rounds: int):
             verts.append(m)
             new_frontier.append((a, m))
             new_frontier.append((b, m))
+        edges.extend(new_frontier)
         frontier = new_frontier
-    return verts
+    return verts, edges
 
 
 def farey_ball(radius: int) -> MetricGraph:
@@ -201,20 +205,17 @@ def farey_ball(radius: int) -> MetricGraph:
 
     Vertices are reduced fractions p/q (with 1/0 for infinity) produced by
     ``radius`` rounds of mediant insertion from the base triangle
-    {0/1, 1/1, 1/0}; edges join every pair with |ps - qr| = 1; the result is
-    then restricted to the radius-``radius`` metric ball around 0/1.  The true
-    ball is infinite (0/1 has infinitely many neighbors), so the mediant
+    {0/1, 1/1, 1/0}; edges join every pair with |ps - qr| = 1, which are the
+    triangle and the two edges from each mediant to its parents; the result
+    is then restricted to the radius-``radius`` metric ball around 0/1.  The
+    true ball is infinite (0/1 has infinitely many neighbors), so the mediant
     closure acts as the finite horizon.  Labels carry the fractions.
     """
     check_int("radius", radius, 1)
-    verts = sorted(_farey_vertices(radius), key=lambda f: (f[1], f[0]))
+    verts, pairs = _farey_graph(radius)
+    verts.sort(key=lambda f: (f[1], f[0]))
     index = {f: i for i, f in enumerate(verts)}
-    edges = []
-    for i, (p, q) in enumerate(verts):
-        for j in range(i + 1, len(verts)):
-            r, s = verts[j]
-            if abs(p * s - q * r) == 1:
-                edges.append((i, j))
+    edges = [(index[a], index[b]) for a, b in pairs]
     full = MetricGraph(len(verts), edges, {i: f"{p}/{q}" for i, (p, q) in enumerate(verts)})
     keep = full.ball(index[(0, 1)], radius)
     sub, _ = full.induced(keep)

@@ -74,11 +74,12 @@ def _bfs_levels(adj, seeds, radius=None, within=None):
     (d, vertices at distance d from ``seeds``) level by level, up to
     ``radius`` if given, walking only through ``within`` if given.
 
-    The BFS from one seed set: rows, balls, multi-source distances,
-    connectivity, labelled BFS and dilations.  Set diameters, which need many
-    single sources, use ``_bit_bfs`` instead.  It trusts its inputs: seeds
-    are distinct valid ids, checked once by the caller.  Consumers that stop
-    early just stop iterating, and the remaining levels are never expanded.
+    The BFS from one seed set: single rows, balls, multi-source distances,
+    connectivity, labelled BFS and dilations.  Set diameters and batches of
+    rows, which need many single sources, use ``_bit_bfs`` instead.  It
+    trusts its inputs: seeds are distinct valid ids, checked once by the
+    caller.  Consumers that stop early just stop iterating, and the
+    remaining levels are never expanded.
     """
     seen = set(seeds)
     level = list(seeds)
@@ -183,7 +184,9 @@ class MetricGraph:
     # -- metric ------------------------------------------------------------
 
     def distances_from(self, u: int) -> np.ndarray:
-        """BFS distance row from ``u``; read-only, cached per source."""
+        """BFS distance row from ``u``; read-only, cached per source.  A row
+        not yet cached comes from one single-source BFS; callers that know
+        many sources up front fill the cache with ``prefetch_rows`` first."""
         u = _check_vertex(self._n, u)
         row = self._dist_rows.get(u)
         if row is None:
@@ -192,9 +195,25 @@ class MetricGraph:
             self._dist_rows[u] = row
         return row
 
+    def prefetch_rows(self, sources) -> None:
+        """Cache the distance rows of ``sources``.  The rows not yet cached
+        come from ``_bit_bfs`` passes of 64 sources each; every pass leaves
+        a read-only (k, n) block, and its rows are cached as views of it, so
+        nothing is copied.  Ids are all checked before any row is computed."""
+        todo = sorted({_check_vertex(self._n, s) for s in sources} - self._dist_rows.keys())
+        every = np.arange(self._n)
+        for a in range(0, len(todo), 64):
+            batch = todo[a:a + 64]
+            block = _bit_bfs(self, batch, every)
+            block.setflags(write=False)
+            self._dist_rows.update(zip(batch, block))
+
     def distance_matrix(self) -> np.ndarray:
-        """Full all-pairs distance matrix (cached); O(n^2) memory."""
+        """Full all-pairs distance matrix (cached); O(n^2) memory.  Its rows
+        are prefetched in passes of 64 sources and then read through
+        ``distances_from``."""
         if self._dist_matrix is None:
+            self.prefetch_rows(range(self._n))
             mat = np.vstack([self.distances_from(u) for u in range(self._n)])
             mat.setflags(write=False)
             self._dist_matrix = mat
@@ -323,7 +342,8 @@ def _bit_bfs(g: MetricGraph, sources, targets, cap=None) -> np.ndarray:
     recorded as they come: a target's distance from source i is the number
     of levels at which bit i was missing, kept in bit-sliced counters (word j
     holds bit j of every count), so a pass holds one word per vertex and
-    log2(levels + 2) words per target.  It trusts its inputs, as
+    log2(levels + 2) words per target.  It serves set diameters and the
+    row batches of ``MetricGraph.prefetch_rows``.  It trusts its inputs, as
     ``_bfs_levels`` does.
     """
     nbrs, starts = _csr(g)

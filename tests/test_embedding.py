@@ -1,5 +1,6 @@
 """Product embedding: anchors, fitted constants, enlargements, edge moves."""
 
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,7 @@ from gromovlab.embedding import (
     product_distance,
     qi_fit,
 )
+from gromovlab.graphs import dump_json
 from gromovlab.projections import axiom_check
 from gromovlab.quasitree import build_quasitree
 
@@ -84,6 +86,19 @@ def test_qi_fit_is_deterministic():
     a = qi_fit(eg, y, basepoint=0, pair_budget=300, seed=5).to_obj()
     b = qi_fit(eg, y, basepoint=0, pair_budget=300, seed=5).to_obj()
     assert a == b
+
+
+def test_qi_fit_report_is_pinned_byte_for_byte():
+    # pinned values: a change to the order of the rng draws changes them
+    g, fam, _, _, _ = quasitree_setup(2, 3, 12)
+    eg = electrify(g, fam)  # cold row caches
+    y = build_quasitree(g, fam, 3.0)
+    obj = qi_fit(eg, y, basepoint=0, pair_budget=500, seed=4).to_obj()
+    assert (obj["n_pairs"], obj["L_fit"], obj["violation_count"]) == (497, 7 / 3, 0)
+    assert obj["records"][:5] == [[19, 30], [22, 33], [5, 7], [10, 15], [18, 29]]
+    assert (obj["eg_delta"], obj["eg_delta_mode"]) == (0.5, "exact")
+    digest = hashlib.sha256(dump_json(obj).encode()).hexdigest()
+    assert digest == "0faf54bf685f2126ac07999f84eeeebf642a5a5d414358f8cff5f1b13dbe6c87"
 
 
 def test_edge_lipschitz_does_not_grow_with_ring_length():

@@ -14,7 +14,7 @@ from gromovlab.generators import (
     tree,
     tree_of_rings,
 )
-from gromovlab.graphs import dump_json, graph_to_obj
+from gromovlab.graphs import MetricGraph, dump_json, graph_to_obj
 
 
 def test_path_and_cycle_shapes():
@@ -158,6 +158,29 @@ def test_farey_adjacency_is_the_determinant_condition():
     assert one in g.neighbors(zero)
     assert inf in g.neighbors(zero)
     assert inf in g.neighbors(one)
+
+
+def _determinant_farey_ball(radius):
+    """farey_ball by brute force: every round adds the mediant of every
+    pair with |ps - qr| = 1, and edges are all such pairs."""
+    fracs = {(0, 1), (1, 1), (1, 0)}
+    for _ in range(radius):
+        pairs = [(a, b) for a in fracs for b in fracs if a[0] * b[1] - a[1] * b[0] == 1]
+        fracs |= {(a[0] + b[0], a[1] + b[1]) for a, b in pairs}
+    fracs = sorted(fracs, key=lambda f: (f[1], f[0]))
+    edges = [
+        (i, j)
+        for i, (p, q) in enumerate(fracs)
+        for j, (r, s) in enumerate(fracs)
+        if i < j and abs(p * s - q * r) == 1
+    ]
+    full = MetricGraph(len(fracs), edges, {i: f"{p}/{q}" for i, (p, q) in enumerate(fracs)})
+    return full.induced(full.ball(fracs.index((0, 1)), radius))[0]
+
+
+def test_farey_ball_equals_the_determinant_graph():
+    for radius in range(1, 9):
+        assert farey_ball(radius) == _determinant_farey_ball(radius)
 
 
 def test_farey_ball_respects_its_radius():

@@ -292,6 +292,51 @@ def test_cold_set_diameter_of_a_grid_runs_few_bfs(monkeypatch):
     assert f._dist_rows == {}
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(connected_graphs(), st.sampled_from(["farey-6", "rings-2-3-12"]).map(small)), st.data())
+def test_prefetched_rows_match_single_source_bfs(g, data):
+    g = MetricGraph(g.n, g.edges)  # a cold row cache
+    ids = st.integers(0, g.n - 1)
+    warm = data.draw(st.lists(ids, max_size=8))
+    for s in warm:
+        g.distances_from(s)
+    kept = {s: g._dist_rows[s] for s in warm}
+    # on the corpus graphs more than 64 distinct sources, so several passes run
+    distinct = data.draw(st.lists(ids, min_size=65 if g.n > 65 else 1, max_size=g.n, unique=True))
+    repeats = data.draw(st.lists(st.sampled_from(distinct), max_size=10))
+    g.prefetch_rows(distinct + repeats)
+    assert g._dist_rows.keys() == set(warm) | set(distinct)
+    for s, row in g._dist_rows.items():
+        assert not row.flags.writeable
+        assert np.array_equal(row, multi_source_distances(g, [s]))
+    assert all(g._dist_rows[s] is row for s, row in kept.items())
+
+
+def test_prefetch_checks_every_id_before_computing_a_row():
+    g = grid(5, 5)
+    row = g.distances_from(3)
+    for bad in ([0, 1, 25], [-1, 2], [2, True], [4, 2.0]):
+        with pytest.raises(ValueError):
+            g.prefetch_rows(bad)
+        assert g._dist_rows.keys() == {3} and g._dist_rows[3] is row
+
+
+def test_distance_matrix_of_a_grid_runs_five_passes_and_no_row_bfs(monkeypatch):
+    passes = []
+    real = graphs._bit_bfs
+
+    def counting(*args, **kwargs):
+        passes.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    g = grid(17, 17)
+    monkeypatch.setattr(graphs, "_bit_bfs", counting)
+    monkeypatch.setattr(graphs, "_bfs_levels", None)  # any single-source BFS would raise
+    D = g.distance_matrix()
+    assert passes == [64, 64, 64, 64, 33]
+    assert D.shape == (289, 289) and int(D.max()) == 32
+
+
 @pytest.mark.parametrize("k", [1, 63, 64])
 def test_bit_bfs_matches_multi_source_distances(k):
     for g in (grid(9, 9), farey_ball(6), tree_of_rings(2, 3, 12)[0]):

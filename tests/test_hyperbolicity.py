@@ -97,6 +97,20 @@ def test_sampled_mode_is_reproducible_and_below_exact():
     assert rep1.delta == 2.0
 
 
+def test_sampled_report_is_pinned_on_a_large_ring_tree():
+    # pinned values: a change to the order of the rng draws changes them
+    g = family_instance("rings-3-3-12")[0]
+    rep = four_point_delta(MetricGraph(g.n, g.edges), mode="sampled", samples=2000, seed=3)
+    assert rep.to_obj() == {
+        "delta": 2.0,
+        "mode": "sampled",
+        "samples": 2000,
+        "seed": 3,
+        "witness": [215, 224, 81, 88],
+        "n_vertices": 430,
+    }
+
+
 def test_sampled_mode_validates_its_arguments():
     g = small("cycle-8")
     with pytest.raises(ValueError, match="samples"):

@@ -211,8 +211,6 @@ def edge_lipschitz(eg: ElectrifiedGraph, y: QuasiTreeSpace, basepoint: int) -> i
     vertices a bounded amount)."""
     base = eg.base_graph()
     anchor_id = _anchor_ids(eg, y, basepoint)
-    eg.graph.prefetch_rows(range(base.n))  # the anchors' geodesic targets
-    y.graph.prefetch_rows(anchor_id(u) for u, _ in base.edges)
     worst = 0
     for (u, v) in base.edges:
         # base edges survive electrification, so the first coordinate is 1

@@ -41,6 +41,10 @@ from .graphs import (
 
 EXACT_SIZE_GUARD = 300
 
+# sampled mode draws its quadruples this many at a time and prefetches each
+# chunk's rows, so the draws take fixed memory whatever the sample count
+_SAMPLE_CHUNK = 1024
+
 
 @dataclass
 class DeltaReport:
@@ -213,24 +217,26 @@ def four_point_delta(
         if g.n < 4:
             return DeltaReport(0.0, "sampled", samples, seed, None, g.n)
         rng = np.random.default_rng(seed)
-        quads = np.empty((samples, 4), dtype=np.intp)
-        for q in quads:
-            q[:] = rng.choice(g.n, size=4, replace=False)
-        g.prefetch_rows(np.flatnonzero(np.bincount(quads[:, :3].ravel(), minlength=g.n)))
         best = -1
         witness = None
-        for q in quads:
-            w_, x, y, z = (int(v) for v in q)
-            dw = g.distances_from(w_)
-            dx = g.distances_from(x)
-            dy = g.distances_from(y)
-            sums = sorted(
-                (int(dw[x] + dy[z]), int(dw[y] + dx[z]), int(dw[z] + dx[y]))
-            )
-            defect = sums[2] - sums[1]
-            if defect > best:
-                best = defect
-                witness = (w_, x, y, z)
+        for start in range(0, samples, _SAMPLE_CHUNK):
+            # draw a chunk, then prefetch the w, x, y rows it reads
+            quads = np.empty((min(_SAMPLE_CHUNK, samples - start), 4), dtype=np.intp)
+            for q in quads:
+                q[:] = rng.choice(g.n, size=4, replace=False)
+            g.prefetch_rows(np.flatnonzero(np.bincount(quads[:, :3].ravel(), minlength=g.n)))
+            for q in quads:
+                w_, x, y, z = (int(v) for v in q)
+                dw = g.distances_from(w_)
+                dx = g.distances_from(x)
+                dy = g.distances_from(y)
+                sums = sorted(
+                    (int(dw[x] + dy[z]), int(dw[y] + dx[z]), int(dw[z] + dx[y]))
+                )
+                defect = sums[2] - sums[1]
+                if defect > best:
+                    best = defect
+                    witness = (w_, x, y, z)
         return DeltaReport(best / 2.0, "sampled", samples, seed, witness, g.n)
 
     raise ValueError(f"unknown mode {mode!r} (expected 'exact' or 'sampled')")
@@ -262,10 +268,8 @@ def quasiconvexity_constant(g: MetricGraph, H, pair_budget: int, seed: int | Non
     if not g.is_connected_subset(hs):
         raise ValueError("H does not induce a connected subgraph")
     to_h = multi_source_distances(g, hs)
-    pairs = _sample_index_pairs(len(hs), pair_budget, seed)
-    g.prefetch_rows(hs[j] for _, j in pairs)  # geodesics read the target's row
     worst = 0
-    for i, j in pairs:
+    for i, j in _sample_index_pairs(len(hs), pair_budget, seed):
         for z in g.geodesic(hs[i], hs[j]):
             worst = max(worst, int(to_h[z]))
     return worst
@@ -280,11 +284,8 @@ def intrinsic_vs_extrinsic(g: MetricGraph, H, pair_budget: int, seed: int | None
     check_int("pair_budget", pair_budget, 1)
     hs = sorted(set(H))
     sub, old_to_new = g.induced(hs)  # raises on disconnected H
-    pairs = _sample_index_pairs(len(hs), pair_budget, seed)
-    g.prefetch_rows(hs[i] for i, _ in pairs)
-    sub.prefetch_rows(old_to_new[hs[i]] for i, _ in pairs)
     worst = 1.0
-    for i, j in pairs:
+    for i, j in _sample_index_pairs(len(hs), pair_budget, seed):
         du = g.shortest_distance(hs[i], hs[j])
         dh = sub.shortest_distance(old_to_new[hs[i]], old_to_new[hs[j]])
         worst = max(worst, dh / du)

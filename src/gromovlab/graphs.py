@@ -382,16 +382,15 @@ def set_diameter(g: MetricGraph, vertices, cap=None) -> int:
 
     Exact when ``cap`` is None or the diameter is at most ``cap``; otherwise
     some value above ``cap`` (a lower bound on the diameter), returned as
-    soon as a pass proves it.  When every member's distance row is cached,
-    the rows are read directly.  Otherwise each member keeps bounds
-    lo <= ecc_S <= hi (Takes and Kosters, "Determining the diameter of small
-    world networks", 2011): a source at distances d from S with e = max d
-    gives lo >= max(d, e - d) and hi <= e + d.  The sources come 64 at a
-    time from ``_bit_bfs``: first 64 members spread evenly over sorted S,
-    then 32 open members of largest hi and 32 of smallest lo.  A member
-    closes once hi <= best, the largest lower bound so far.  Nothing is
-    cached, so callers with many one-off sets (cover blocks) do not fill the
-    row cache.
+    soon as a pass proves it.  Each member keeps bounds lo <= ecc_S <= hi
+    (Takes and Kosters, "Determining the diameter of small world networks",
+    2011): a source at distances d from S with e = max d gives
+    lo >= max(d, e - d) and hi <= e + d.  The sources come 64 at a time from
+    ``_bit_bfs``: first 64 members spread evenly over sorted S, then 32 open
+    members of largest hi and 32 of smallest lo.  A member closes once
+    hi <= best, the largest lower bound so far.  The row cache is neither
+    read nor filled, so callers with many one-off sets (cover blocks) leave
+    it as it was; the projection table reads its cached rows itself.
     """
     vs = sorted({_check_vertex(g.n, v) for v in vertices})
     if not vs:
@@ -401,9 +400,6 @@ def set_diameter(g: MetricGraph, vertices, cap=None) -> int:
     if len(vs) == 1:
         return 0
     arr = np.asarray(vs)
-    rows = [g._dist_rows.get(s) for s in vs]
-    if all(row is not None for row in rows):
-        return max(int(row[arr].max()) for row in rows)
     m = len(vs)
     lo = np.zeros(m, dtype=np.int64)
     hi = np.full(m, np.iinfo(np.int64).max)
@@ -423,8 +419,9 @@ def set_diameter(g: MetricGraph, vertices, cap=None) -> int:
         if not picks.size:
             return best
         if picks.size > 64:
-            wide = picks[np.argsort(-hi[picks], kind="stable")[:32]]
-            rest = np.setdiff1d(picks, wide)
+            order = np.argsort(-hi[picks], kind="stable")
+            wide = picks[order[:32]]
+            rest = picks[np.sort(order[32:])]
             picks = np.concatenate([wide, rest[np.argsort(lo[rest], kind="stable")[:32]]])
 
 

@@ -9,7 +9,10 @@ downstream consumers pick the id-minimal element when they need one vertex.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
+from functools import reduce
+from itertools import chain, combinations
+from math import comb
+from operator import or_
 
 import numpy as np
 
@@ -50,43 +53,67 @@ def proj_set_diameter(g: MetricGraph, H_c, H_d) -> int:
 
 
 class ProjectionTable:
-    """Projections between the members of a family, and the triple distances
-    read from them; both computed on first use and cached.  The family is
-    validated against ``g`` once, here."""
+    """The projections between the members of a family, as arrays, and the
+    triple distances read from them one member at a time.  The family is
+    validated against ``g`` once, here.
+
+    For member c, U_c holds the sorted points of H_c that some other member
+    projects to, and the boolean P_c[d, j] says whether U_c[j] lies in the
+    projection of H_d, built by OR-ing the labels of one ``nearest_points``
+    per member over H_d.  One ``prefetch_rows`` over the union of all U_c
+    then caches exactly the distance rows that ``member`` reads.
+    """
 
     def __init__(self, g: MetricGraph, fam: SubgraphFamily):
         fam.validate_against(g)
         self._g = g
-        self._members = [list(mem) for mem in fam.members]
-        self._nearest = {}
-        self._proj = {}
-        self._triple = {}
+        members = [list(mem) for mem in fam.members]
+        m = len(members)
+        self._dist = np.empty((m, g.n), dtype=np.int32)  # row d: distances to H_d
+        self._points = []  # U_c, as vertex ids
+        self._proj = []  # P_c, (m, |U_c|) boolean; row c is empty
+        for c, hs in enumerate(members):
+            self._dist[c], labels = nearest_points(g, hs)
+            size = (len(hs) + 7) // 8
+            masks = b"".join(
+                (0 if d == c else reduce(or_, (labels[x] for x in hd))).to_bytes(size, "little")
+                for d, hd in enumerate(members)
+            )
+            bits = np.frombuffer(masks, dtype=np.uint8).reshape(m, size)
+            P = np.unpackbits(bits, axis=1, count=len(hs), bitorder="little").astype(bool)
+            used = np.flatnonzero(P.any(axis=0))
+            self._points.append(np.asarray(hs)[used])
+            self._proj.append(P[:, used])
+        g.prefetch_rows(chain.from_iterable(self._points))
 
-    def nearest(self, c: int):
-        """``graphs.nearest_points(g, H_c)``: (distances to H_c, labels)."""
-        if c not in self._nearest:
-            self._nearest[c] = nearest_points(self._g, self._members[c])
-        return self._nearest[c]
+    def member(self, c: int) -> np.ndarray:
+        """(m, m) matrix of d_c(b, d), the diameter of the union of the
+        projections of members b and d into member c; its diagonal holds the
+        diameters of the single projections.  Row and column c are 0.
 
-    def proj(self, c: int, d: int) -> tuple:
-        """Projection of member d into member c (every vertex projected)."""
-        out = self._proj.get((c, d))
-        if out is None:
-            hs = self._members[c]
-            out = self._proj[c, d] = nearest_set(hs, self.nearest(c)[1], self._members[d])
-            for p in out:  # cache the rows that the projection and triple diameters read
-                self._g.distances_from(p)
+        With X[b, d] the largest d(p, q) over p in the projection of b and q
+        in that of d (two masked max reductions over the U_c block),
+        d_c(b, d) = max(X[b, d], X[b, b], X[d, d]).
+        """
+        pts, P = self._points[c], self._proj[c]
+        m = len(P)
+        Y = np.zeros((m, len(pts)), dtype=np.int32)  # Y[b, q]: max d(p, q) over p in pi_c(b)
+        for j, p in enumerate(pts):
+            np.maximum(Y, np.where(P[:, j, None], self._g.distances_from(p)[pts], 0), out=Y)
+        X = np.zeros((m, m), dtype=np.int32)
+        for j in range(len(pts)):
+            np.maximum(X, np.where(P[:, j], Y[:, j, None], 0), out=X)
+        diam = X.diagonal()
+        out = np.maximum(X, np.maximum.outer(diam, diam))
+        out[c, :] = out[:, c] = 0
         return out
 
-    def triple(self, a: int, b: int, c: int) -> int:
-        """d_a(b, c): diameter of the union of the projections of members b
-        and c into member a; symmetric in (b, c)."""
-        key = (a, b, c) if b < c else (a, c, b)
-        out = self._triple.get(key)
-        if out is None:
-            union = set(self.proj(a, b)) | set(self.proj(a, c))
-            out = self._triple[key] = set_diameter(self._g, union)
-        return out
+    def anchors(self, c: int) -> np.ndarray:
+        """x_{c,d} for every member d: the id-minimal point of the projection
+        of H_d into H_c at minimal distance to H_d (entry c is meaningless).
+        Needs at least two members."""
+        pts = self._points[c]
+        return pts[np.where(self._proj[c], self._dist[:, pts], self._g.n).argmin(axis=1)]
 
 
 def triple_distance(g: MetricGraph, fam: SubgraphFamily, a: int, b: int, c: int) -> int:
@@ -94,7 +121,7 @@ def triple_distance(g: MetricGraph, fam: SubgraphFamily, a: int, b: int, c: int)
     a; symmetric in (b, c)."""
     if len({a, b, c}) != 3:
         raise ValueError("triple distance needs three distinct member indices")
-    return ProjectionTable(g, fam).triple(a, b, c)
+    return int(ProjectionTable(g, fam).member(a)[b, c])
 
 
 def projection_constant(g: MetricGraph, fam: SubgraphFamily, table=None) -> int:
@@ -105,12 +132,22 @@ def projection_constant(g: MetricGraph, fam: SubgraphFamily, table=None) -> int:
     m = len(fam)
     if m < 2:
         raise ValueError("axiom check needs at least two family members")
-    return max(set_diameter(g, table.proj(c, d)) for c in range(m) for d in range(m) if c != d)
+    return max(int(table.member(c).diagonal().max()) for c in range(m))
 
 
 def auto_theta(R: int) -> float:
     """The heuristic theta = 3R + 3 that ``theta="auto"`` resolves to."""
     return float(3 * R + 3)
+
+
+def _subsets(m: int, k: int, budget: int, seed) -> np.ndarray:
+    """Every k-subset of range(m) as a sorted row when there are at most
+    ``budget``; otherwise ``budget`` of them, one ``rng.choice`` each."""
+    if comb(m, k) <= budget:
+        return np.array(list(combinations(range(m), k)), dtype=np.intp).reshape(-1, k)
+    rng = np.random.default_rng(seed)
+    draws = np.array([rng.choice(m, size=k, replace=False) for _ in range(budget)], dtype=np.intp)
+    return np.sort(draws.reshape(-1, k), axis=1)
 
 
 @dataclass
@@ -155,48 +192,43 @@ def axiom_check(
     theta_mode = "auto" if theta == "auto" else "given"
     theta_val = None if theta_mode == "auto" else check_theta(theta)
     table = ProjectionTable(g, fam)
-    R_measured = projection_constant(g, fam, table)
     m = len(fam)
+    if m < 2:
+        raise ValueError("axiom check needs at least two family members")
+
+    exhaustive = comb(m, 3) <= triple_budget
+    tri = _subsets(m, 3, triple_budget, seed)
+    duo = _subsets(m, 2, axiom3_budget, None if seed is None else seed + 1)
+
+    # one pass over the members: R, the three values d_a(b, c), d_b(a, c),
+    # d_c(a, b) of every triple (a, b, c), and d_c(a, b) for every pair and c
+    values = np.zeros(tri.shape, dtype=np.int32)
+    column = np.zeros((len(duo), m), dtype=np.int32)  # 0 where c is in the pair
+    R_measured = 0
+    for c in range(m):
+        M = table.member(c)
+        R_measured = max(R_measured, int(M.diagonal().max()))
+        for j, (u, v) in enumerate(((1, 2), (0, 2), (0, 1))):
+            at = tri[:, j] == c
+            values[at, j] = M[tri[at, u], tri[at, v]]
+        column[:, c] = M[duo[:, 0], duo[:, 1]]
     if theta_val is None:
         theta_val = auto_theta(R_measured)
 
-    total_triples = m * (m - 1) * (m - 2) // 6
-    exhaustive = total_triples <= triple_budget
-    if exhaustive:
-        triples = list(combinations(range(m), 3))
-    else:
-        rng = np.random.default_rng(seed)
-        triples = [
-            tuple(int(v) for v in sorted(rng.choice(m, size=3, replace=False)))
-            for _ in range(triple_budget)
-        ]
-    violations = []
-    for a, b, c in triples:
-        nums = (table.triple(a, b, c), table.triple(b, a, c), table.triple(c, a, b))
-        if sum(1 for x in nums if x > theta_val) >= 2:
-            violations.append({"triple": [a, b, c], "values": list(nums)})
-
-    total_pairs = m * (m - 1) // 2
-    if total_pairs <= axiom3_budget:
-        pairs = list(combinations(range(m), 2))
-    else:
-        rng3 = np.random.default_rng(None if seed is None else seed + 1)
-        pairs = [
-            tuple(int(v) for v in sorted(rng3.choice(m, size=2, replace=False)))
-            for _ in range(axiom3_budget)
-        ]
-    counts = []
-    for a, b in pairs:
-        counts.append(sum(1 for c in range(m) if c not in (a, b) and table.triple(c, a, b) > theta_val))
+    bad = (values > theta_val).sum(axis=1) >= 2
+    violations = [
+        {"triple": t, "values": v} for t, v in zip(tri[bad].tolist(), values[bad].tolist())
+    ]
+    counts = (column > theta_val).sum(axis=1).tolist()
 
     return AxiomReport(
-        R_measured=int(R_measured),
+        R_measured=R_measured,
         theta=float(theta_val),
         theta_mode=theta_mode,
-        triples_checked=len(triples),
+        triples_checked=len(tri),
         triples_exhaustive=exhaustive,
         axiom2_violations=violations,
-        axiom3_pairs=[list(p) for p in pairs],
+        axiom3_pairs=duo.tolist(),
         axiom3_counts=counts,
         axiom3_max=max(counts) if counts else 0,
         seed=seed,

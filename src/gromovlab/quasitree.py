@@ -21,6 +21,8 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .electrify import ElectrifiedGraph, SubgraphFamily, cone_visits, electrify, is_efficient
 from .graphs import (
     MetricGraph,
@@ -30,7 +32,7 @@ from .graphs import (
     graph_to_obj,
     unwrap_payload,
 )
-from .projections import ProjectionTable, auto_theta, projection_constant
+from .projections import ProjectionTable, auto_theta
 
 RULES = ("projection", "widepoint")
 
@@ -135,11 +137,22 @@ def build_quasitree(
     if rule not in RULES:
         raise ValueError(f"unknown cross-edge rule {rule!r}")
     table = ProjectionTable(g, fam)
-    if theta == "auto":
-        theta = auto_theta(projection_constant(g, fam, table))
-
     members = [list(m) for m in fam.members]
     m = len(members)
+    need_proj = rule == "projection" or with_diff
+    if theta == "auto" or need_proj:
+        # one pass over the members: R, and the largest d_a(c, d) over third
+        # members a (member(a) is 0 in row and column a)
+        if theta == "auto" and m < 2:
+            raise ValueError("axiom check needs at least two family members")
+        R, far = 0, np.zeros((m, m), dtype=np.int32)
+        for a in range(m):
+            M = table.member(a)
+            R = max(R, int(M.diagonal().max()))
+            np.maximum(far, M, out=far)
+        if theta == "auto":
+            theta = auto_theta(R)
+
     tags = [(c, v) for c in range(m) for v in members[c]]
     tag_to_id = {tag: i for i, tag in enumerate(tags)}
 
@@ -152,19 +165,13 @@ def build_quasitree(
                     edges.append((tag_to_id[(c, a)], tag_to_id[(c, b)]))
 
     # projection anchor points: id-minimal at minimal distance to the partner
-    anchor = {}
-    for c in range(m):
-        for d in range(m):
-            if c != d:
-                anchor[c, d] = min(table.proj(c, d), key=lambda s: (int(table.nearest(d)[0][s]), s))
+    anchor = [table.anchors(c).tolist() for c in range(m)] if m > 1 else []
 
     def projection_pairs():
-        out = set()
-        for c in range(m):
-            for d in range(c + 1, m):
-                if not any(table.triple(a, c, d) >= 2 * theta for a in range(m) if a not in (c, d)):
-                    out.add((c, d))
-        return out
+        # (c, d) is kept unless some third member a has d_a(c, d) >= 2 * theta
+        rows, cols = np.triu_indices(m, 1)
+        keep = far[rows, cols] < 2 * theta
+        return set(zip(rows[keep].tolist(), cols[keep].tolist()))
 
     need_wide = rule == "widepoint" or with_diff
     eg = electrify(g, fam) if need_wide else None
@@ -173,18 +180,18 @@ def build_quasitree(
         out = set()
         for c in range(m):
             for d in range(c + 1, m):
-                if _exists_narrow_geodesic(eg, anchor[c, d], anchor[d, c], theta):
+                if _exists_narrow_geodesic(eg, anchor[c][d], anchor[d][c], theta):
                     out.add((c, d))
         return out
 
-    proj_pairs = projection_pairs() if (rule == "projection" or with_diff) else None
+    proj_pairs = projection_pairs() if need_proj else None
     wide_pairs = widepoint_pairs() if need_wide else None
     chosen = proj_pairs if rule == "projection" else wide_pairs
 
     cross = []
     for (c, d) in sorted(chosen):
-        x_cd = anchor[c, d]
-        x_dc = anchor[d, c]
+        x_cd = anchor[c][d]
+        x_dc = anchor[d][c]
         edges.append((tag_to_id[(c, x_cd)], tag_to_id[(d, x_dc)]))
         cross.append({"c": c, "d": d, "x_cd": x_cd, "x_dc": x_dc})
 

@@ -1,12 +1,23 @@
 """Nearest-point projections between family members and the axiom checker."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as orc
-from _corpus import family_instance, small
+import gromovlab
+from _corpus import connected_graphs, family_instance, small
 from gromovlab.electrify import SubgraphFamily
 from gromovlab.generators import grid, path, tree_of_rings
 from gromovlab.projections import (
+    ProjectionTable,
     axiom_check,
     hausdorff_distance,
     proj_set_diameter,
@@ -15,6 +26,7 @@ from gromovlab.projections import (
     set_diameter,
     triple_distance,
 )
+from gromovlab.quasitree import build_quasitree, y_to_obj
 
 
 def test_project_returns_all_nearest_member_vertices():
@@ -176,3 +188,74 @@ def test_axiom_check_rejects_a_non_finite_theta(theta):
     fam = SubgraphFamily([range(0, 12), range(8, 20), range(16, 28)])
     with pytest.raises(ValueError, match="finite positive"):
         axiom_check(g, fam, theta=theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), st.data())
+def test_the_table_matches_the_oracles_on_random_ball_families(g, data):
+    # overlapping balls of radius 0-2 have projections of positive diameter
+    D = orc.distance_matrix(g)
+    balls = data.draw(st.lists(st.tuples(st.integers(0, g.n - 1), st.integers(0, 2)),
+                               min_size=2, max_size=5))
+    fam = SubgraphFamily([[v for v in range(g.n) if D[x, v] <= r] for x, r in balls])
+    members = fam.members
+    m = len(members)
+    table = ProjectionTable(g, fam)
+    for c in range(m):
+        M = table.member(c)
+        anchors = table.anchors(c)
+        assert not M[c].any() and not M[:, c].any()
+        for b in range(m):
+            if b == c:
+                continue
+            proj = set()
+            for x in members[b]:
+                proj.update(orc.projection_oracle(D, members[c], x))
+            assert M[b, b] == orc.set_diameter_oracle(D, proj)
+            nearest = min(proj, key=lambda s: (min(int(D[s, h]) for h in members[b]), s))
+            assert anchors[b] == nearest
+            for d in range(m):
+                if d not in (b, c):
+                    assert M[b, d] == orc.triple_oracle(D, members, c, b, d)
+
+
+def test_the_audits_and_the_farey_cover_never_import_numpy_ma():
+    # the first np.unique or np.setdiff1d of a process imports numpy.ma
+    # (14-19 ms and about 1.7 MiB of peak RSS with numpy 2.4)
+    probe = "import sys, numpy; print('numpy.ma' in sys.modules)"
+    if subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                      text=True, check=True).stdout.strip() == "True":
+        pytest.skip("this numpy imports numpy.ma with numpy itself")
+    script = """
+import sys
+from gromovlab.asdimlab import cover_at_scale
+from gromovlab.generators import farey_ball, tree_of_rings
+from gromovlab.projections import axiom_check
+from gromovlab.quasitree import build_quasitree
+
+cover_at_scale(farey_ball(9), 4, "net_voronoi")
+g, fam = tree_of_rings(2, 3, 12)
+axiom_check(g, fam)
+build_quasitree(g, fam, "auto")
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+"""
+    src = str(Path(gromovlab.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def test_the_axiom_payload_is_byte_stable():
+    rep = axiom_check(*tree_of_rings(3, 3, 12), seed=1)
+    assert _sha256(rep.to_obj()) == (
+        "5f4be6453343b89c5731b2130b148c1b828aad6d03df56aebd164fd7397b9932")
+
+
+def test_the_quasitree_payload_is_byte_stable():
+    y = build_quasitree(*tree_of_rings(3, 3, 12), "auto", with_diff=True)
+    assert _sha256(y_to_obj(y)) == (
+        "9996f4d62155c761d54d179d09e4248f18c220e7fffabb5fb0d3fc88bdb09b4a")

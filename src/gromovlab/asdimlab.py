@@ -11,7 +11,6 @@ bounded) is a meaningful signal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ from .graphs import (
     check_int,
     check_int_lists,
     multi_source_distances,
+    read_json,
     set_diameter,
     unwrap_payload,
 )
@@ -77,8 +77,7 @@ def cover_from_obj(g: MetricGraph, obj) -> Cover:
 
 
 def load_cover(g: MetricGraph, path) -> Cover:
-    with open(path, "r", encoding="utf-8") as fh:
-        return cover_from_obj(g, json.load(fh))
+    return cover_from_obj(g, read_json(path))
 
 
 def multiplicity_check(g: MetricGraph, cover, R: int) -> tuple:

@@ -35,7 +35,7 @@ from .generators import (
     tree,
     tree_of_rings,
 )
-from .graphs import SizeLimitError, dump_json, graph_to_dot, graph_to_obj, load_graph
+from .graphs import SizeLimitError, dump_json, graph_to_dot, graph_to_obj, load_graph, read_json
 from .hyperbolicity import four_point_delta
 from .projections import axiom_check
 from .quasitree import RULES, build_quasitree, y_to_obj
@@ -358,8 +358,7 @@ def _summarize_data(data) -> str:
 def cmd_report(args, started: float) -> int:
     rows = []
     for path_ in args.inputs:
-        with open(path_, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+        obj = read_json(path_)
         if not isinstance(obj, dict) or not isinstance(obj.get("manifest"), dict) or "data" not in obj:
             raise ValueError(f"{path_}: not a wrapped artifact (missing manifest/data)")
         manifest = obj["manifest"]

@@ -195,27 +195,40 @@ class MetricGraph:
             self._dist_rows[u] = row
         return row
 
+    def _row_blocks(self, sources):
+        """(batch, (k, n) block) for the sorted distinct ``sources``, one
+        ``_bit_bfs`` pass of up to 64 sources per block."""
+        every = np.arange(self._n)
+        for a in range(0, len(sources), 64):
+            batch = sources[a:a + 64]
+            yield batch, _bit_bfs(self, batch, every)
+
     def prefetch_rows(self, sources) -> None:
         """Cache the distance rows of ``sources``.  The rows not yet cached
         come from ``_bit_bfs`` passes of 64 sources each; every pass leaves
         a read-only (k, n) block, and its rows are cached as views of it, so
         nothing is copied.  Ids are all checked before any row is computed."""
         todo = sorted({_check_vertex(self._n, s) for s in sources} - self._dist_rows.keys())
-        every = np.arange(self._n)
-        for a in range(0, len(todo), 64):
-            batch = todo[a:a + 64]
-            block = _bit_bfs(self, batch, every)
+        for batch, block in self._row_blocks(todo):
             block.setflags(write=False)
             self._dist_rows.update(zip(batch, block))
 
     def distance_matrix(self) -> np.ndarray:
-        """Full all-pairs distance matrix (cached); O(n^2) memory.  Its rows
-        are prefetched in passes of 64 sources and then read through
-        ``distances_from``."""
+        """Full all-pairs distance matrix (cached); n^2 int32, held once.
+        The rows not yet cached come from passes of 64 sources written
+        straight into the matrix.  Then every row is read through
+        ``distances_from``, which copies in the rows cached before, and the
+        cache keeps each row as a read-only view of the matrix."""
         if self._dist_matrix is None:
-            self.prefetch_rows(range(self._n))
-            mat = np.vstack([self.distances_from(u) for u in range(self._n)])
+            mat = np.empty((self._n, self._n), dtype=np.int32)
+            todo = sorted(set(range(self._n)) - self._dist_rows.keys())
+            for batch, block in self._row_blocks(todo):
+                mat[batch] = block
+                self._dist_rows.update((u, mat[u]) for u in batch)
+            for u in range(self._n):  # bench/tracer.py counts row reads here
+                mat[u] = self.distances_from(u)
             mat.setflags(write=False)
+            self._dist_rows = dict(enumerate(mat))
             self._dist_matrix = mat
         return self._dist_matrix
 
@@ -507,12 +520,25 @@ def graph_from_obj(obj) -> MetricGraph:
         if not isinstance(labels, dict):
             raise ValueError(f'"labels" must map vertex ids to labels, got {labels!r:.60}')
         labels = {int(k): v for k, v in labels.items()}
-    return MetricGraph(obj["n"], check_int_lists("edges", obj["edges"]), labels)
+    n = check_int("vertex count", obj["n"], 1)
+    edges = check_int_lists("edges", obj["edges"])
+    if len(edges) < n - 1:  # refused before n adjacency lists are allocated
+        raise ValueError(f"graph is disconnected ({n} vertices but only {len(edges)} edges)")
+    return MetricGraph(n, edges, labels)
+
+
+def read_json(path):
+    """The JSON document in the file ``path``.  Nesting too deep for the
+    parser is refused with a ValueError, as any other malformed JSON is."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def load_graph(path) -> MetricGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_obj(json.load(fh))
+    return graph_from_obj(read_json(path))
 
 
 def dump_json(obj) -> str:

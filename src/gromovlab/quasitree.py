@@ -17,7 +17,6 @@ builder can diff the two edge sets instead of silently reconciling them.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -30,6 +29,7 @@ from .graphs import (
     check_theta,
     graph_from_obj,
     graph_to_obj,
+    read_json,
     unwrap_payload,
 )
 from .projections import ProjectionTable, auto_theta
@@ -256,5 +256,4 @@ def y_from_obj(obj) -> QuasiTreeSpace:
 
 
 def load_quasitree(path) -> QuasiTreeSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        return y_from_obj(json.load(fh))
+    return y_from_obj(read_json(path))

@@ -6,6 +6,7 @@ distance matrix where possible; build it with distance_matrix() below, which
 never touches the package's BFS code.
 """
 
+import heapq
 import itertools
 
 import networkx as nx
@@ -110,3 +111,30 @@ def hausdorff_oracle(D, A, B):
     d_ab = max(min(int(D[x][y]) for y in b) for x in a)
     d_ba = max(min(int(D[x][y]) for x in a) for y in b)
     return max(d_ab, d_ba)
+
+
+def _dijkstra_path(graph, weights: dict, source: int, target: int) -> list:
+    """Least-weight walk by plain Dijkstra, with weights keyed by edge."""
+    dist = {source: 0.0}
+    prev = {}
+    heap = [(0.0, source)]
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        if u == target:
+            break
+        done.add(u)
+        for w in graph._adj[u]:
+            key = (u, w) if u < w else (w, u)
+            nd = d + weights[key]
+            if nd < dist.get(w, float("inf")):
+                dist[w] = nd
+                prev[w] = u
+                heapq.heappush(heap, (nd, w))
+    walk = [target]
+    while walk[-1] != source:
+        walk.append(prev[walk[-1]])
+    walk.reverse()
+    return walk

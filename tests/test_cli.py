@@ -1,14 +1,18 @@
 """Command-line entry point: artifacts, exit codes, summaries, determinism."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gromovlab import projections
 from gromovlab.cli import main
-from gromovlab.electrify import load_eg
+from gromovlab.electrify import eg_to_obj, electrify, family_to_obj, load_eg
 from gromovlab.generators import tree_of_rings
-from gromovlab.graphs import load_graph
+from gromovlab.graphs import graph_to_obj, load_graph
 from gromovlab.quasitree import load_quasitree
 
 
@@ -125,6 +129,99 @@ def test_mistyped_artifacts_exit_2_without_traceback(rings, tmp_path, capsys, co
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+NOT_INT = st.one_of(
+    st.text(max_size=3), st.floats(), st.booleans(), st.none(),
+    st.lists(st.integers(0, 3), max_size=2), st.just({}),
+)
+NOT_LIST = st.one_of(
+    st.integers(-2, 5), st.text(max_size=3), st.floats(), st.booleans(), st.none(), st.just({}),
+)
+NOT_DICT = st.one_of(st.lists(st.integers(0, 3), max_size=2), st.integers(-2, 5), st.text(max_size=3))
+# typed slots of each format: an int, a dict, or a list of integer lists
+SLOTS = {
+    "graph": [(("n",), "int"), (("labels",), "dict"), (("edges",), "lists")],
+    "family": [(("peripherals",), "lists")],
+    "eg": [(("base_size",), "int"), (("cones",), "lists"),
+           (("graph", "n"), "int"), (("graph", "edges"), "lists")],
+}
+
+
+def _mistype(data, obj, kind):
+    """A copy of ``obj`` with one typed slot holding a value of the wrong type."""
+    obj = json.loads(json.dumps(obj))
+    path, slot = data.draw(st.sampled_from(SLOTS[kind]))
+    holder = obj
+    for key in path[:-1]:
+        holder = holder[key]
+    key = path[-1]
+    if slot == "int":
+        holder[key] = data.draw(NOT_INT)
+    elif slot == "dict":
+        holder[key] = data.draw(NOT_DICT)
+    else:
+        depth = data.draw(st.integers(0, 2))  # the list, one of its lists, or one entry
+        if depth:
+            holder = holder[key]
+            key = data.draw(st.integers(0, len(holder) - 1))
+        if depth == 2:
+            holder = holder[key]
+            key = data.draw(st.integers(0, len(holder) - 1))
+        holder[key] = data.draw(NOT_INT if depth == 2 else NOT_LIST)
+    return obj
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory with the valid graph and family of the smallest ring tree."""
+    root = tmp_path_factory.mktemp("fuzz")
+    g, fam = tree_of_rings(1, 1, 12)
+    objs = {"graph": graph_to_obj(g), "family": family_to_obj(fam), "eg": eg_to_obj(electrify(g, fam))}
+    for kind in ("graph", "family"):
+        (root / f"{kind}.json").write_text(json.dumps(objs[kind]), encoding="utf-8")
+    return root, objs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_truncated_and_mistyped_inputs_exit_2_without_traceback(fuzz_dir, data):
+    root, objs = fuzz_dir
+    kind = data.draw(st.sampled_from(["graph", "family", "eg"]))
+    obj = objs[kind]
+    if data.draw(st.booleans()):  # loaders also accept the artifact wrapper
+        obj = {"manifest": {"command": kind}, "data": obj}
+    mode = data.draw(st.sampled_from(["truncated", "mistyped", "top-level"]))
+    if mode == "truncated":
+        text = json.dumps(obj)
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    elif mode == "mistyped":
+        if "manifest" in obj:
+            obj = dict(obj, data=_mistype(data, obj["data"], kind))
+        else:
+            obj = _mistype(data, obj, kind)
+        text = json.dumps(obj)
+    else:
+        depth = data.draw(st.sampled_from([1, 2, 100_000]))
+        text = "[" * depth + "]" * depth
+    bad = root / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    graph, family = str(root / "graph.json"), str(root / "family.json")
+    if kind == "family":
+        commands = [["axioms", graph, str(bad)], ["penetration", graph, str(bad)]]
+    else:  # an electrified graph is no graph either
+        commands = [["delta", str(bad)], ["axioms", str(bad), family], ["penetration", str(bad), family]]
+    if mode != "mistyped":  # the report reads only the wrapper
+        commands.append(["report", str(bad)])
+    if kind == "eg":
+        with pytest.raises(ValueError):
+            load_eg(bad)
+    for argv in commands:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run([*argv, "--out", str(root / "x")]) == 2, argv
+        assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue(), argv
+    assert not list(root.glob("x*"))
 
 
 @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])

@@ -1,17 +1,21 @@
 """Coning off families: structure, round trips, efficiency, penetration."""
 
+import hashlib
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _corpus import connected_graphs, electrified, family_instance, ring_instance
+from _oracles import _dijkstra_path, to_networkx
 from gromovlab.electrify import (
     ElectrifiedGraph,
     FormatError,
     SubgraphFamily,
+    _astar_path,
     cone_visits,
     de_electrify,
     eg_from_obj,
@@ -282,3 +286,35 @@ def test_penetration_profile_validates_inputs():
         penetration_profile(eg, L=1.5, samples=0, seed=0)
     with pytest.raises(ValueError, match="deep_threshold"):
         penetration_profile(eg, L=1.5, samples=10, seed=0, deep_threshold=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(), st.data(), st.sampled_from([1.0 + 1e-6, 1.5, 3.0]))
+def test_astar_returns_the_dijkstra_path(g, data, hi):
+    # near-uniform weights (hi = 1 + 1e-6) are where a tie-break difference would show
+    source = data.draw(st.integers(0, g.n - 1))
+    target = data.draw(st.integers(0, g.n - 1))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    weights = np.random.default_rng(seed).uniform(1.0, hi, len(g.edges)).tolist()
+    index = {e: i for i, e in enumerate(g.edges)}
+    nbrs = [tuple((w, index[(x, w) if x < w else (w, x)]) for w in g.neighbors(x)) for x in range(g.n)]
+    hops = g.distances_from(target).tolist()
+    walk = _astar_path(nbrs, weights, hops, source, target)
+    expect = _dijkstra_path(g, dict(zip(g.edges, weights)), source, target)
+    assert walk == expect
+    # and its weight is the least one, by an independent search
+    h = to_networkx(g)
+    for (a, b), w in zip(g.edges, weights):
+        h[a][b]["w"] = w
+    total = sum(h[a][b]["w"] for a, b in zip(walk, walk[1:]))
+    assert total == pytest.approx(nx.dijkstra_path_length(h, source, target, "w"), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "L,seed,digest",
+    [(1.5, 1, "0b06b082109f7217"), (1.5, 7, "dd9c3e657a87c6c2"), (1.0, 1, "ff156575326d2775")],
+)
+def test_penetration_payload_is_pinned(L, seed, digest):
+    rep = penetration_profile(electrified(3, 3, 12), L, 50, seed)
+    text = json.dumps(rep.to_obj(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

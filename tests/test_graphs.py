@@ -1,6 +1,7 @@
 """Core metric graph type: construction, distances, geodesics, serialization."""
 
 import json
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -61,6 +62,18 @@ def test_rejects_unknown_and_non_integer_vertices():
 def test_rejects_disconnected_input():
     with pytest.raises(ValueError, match="connected"):
         MetricGraph(4, [(0, 1), (2, 3)])
+
+
+def test_loader_refuses_too_few_edges_before_allocating():
+    # a vertex count far above the edge count must not size the adjacency
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="disconnected"):
+            graph_from_obj({"n": 2_000_000, "edges": [[0, 1]]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_single_vertex_graph_is_fine():

@@ -9,7 +9,6 @@ numbers into a number for the glued-up whole, ending in the genus table.
 """
 
 from gromovlab import (
-    axiom_check,
     build_quasitree,
     cover_at_scale,
     dim_profile,
@@ -40,8 +39,7 @@ def main():
     print(f"independent recount: mult={mult}, witness ball center {witness}")
 
     g, fam = tree_of_rings(3, 3, 12)
-    theta = axiom_check(g, fam, theta="auto", triple_budget=100).theta
-    y = build_quasitree(g, fam, theta)
+    y = build_quasitree(g, fam, "auto")
     print(f"\nnet-Voronoi profile of the quasi-tree ({y.graph.n} vertices):")
     prof = dim_profile(y.graph, [2, 4, 8], "net_voronoi")
     print("  " + prof.to_csv().replace("\n", "\n  ").rstrip())

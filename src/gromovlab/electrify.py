@@ -13,6 +13,7 @@ from .graphs import (
     check_int,
     check_int_lists,
     check_int_pairs,
+    check_real,
     dump_json,
     graph_from_obj,
     graph_to_obj,
@@ -340,15 +341,14 @@ def penetration_profile(
     path's weight: on tree_of_rings(3, 3, 12), 23 of 469 per search against
     Dijkstra's 241.
     """
-    if L < 1:
-        raise ValueError(f"quasi-geodesic quality L must be >= 1, got {L}")
+    L = check_real("quasi-geodesic quality L", L, 1)
     samples = check_int("sampling budget", samples, 1)
     deep_threshold = check_int("deep_threshold", deep_threshold, 1)
     alternates = check_int("alternates", alternates, 0)
     rng = np.random.default_rng(seed)
     graph = eg.graph
     base_n = eg.base_size
-    hi = max(float(L), 1.0 + 1e-6)
+    hi = max(L, 1.0 + 1e-6)
     edge_index = {e: i for i, e in enumerate(graph.edges)}
     nbrs = [
         tuple((w, edge_index[(x, w) if x < w else (w, x)]) for w in graph._adj[x])
@@ -407,7 +407,7 @@ def penetration_profile(
                 }
             )
     return PenetrationReport(
-        L=float(L),
+        L=L,
         p_estimate=p_estimate,
         samples=samples,
         seed=seed,

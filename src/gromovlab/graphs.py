@@ -31,15 +31,16 @@ def check_int(name: str, value, minimum=None) -> int:
     return int(value)
 
 
-def check_theta(value) -> float:
-    """A threshold theta as a float: a finite real number > 0 (booleans,
-    strings, nan and infinities are rejected)."""
+def check_real(name: str, value, minimum=None) -> float:
+    """``value`` as a float: a finite real number > 0, and >= ``minimum`` when
+    one is given (booleans, strings, nan and infinities are rejected)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"theta must be a real number, got {value!r:.60}")
-    theta = float(value)
-    if not math.isfinite(theta) or theta <= 0:
-        raise ValueError(f"theta must be a finite positive number, got {value!r}")
-    return theta
+        raise ValueError(f"{name} must be a real number, got {value!r:.60}")
+    x = float(value)
+    if not math.isfinite(x) or x <= 0 or (minimum is not None and x < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be a finite positive number{bound}, got {value!r}")
+    return x
 
 
 def check_int_lists(name: str, value) -> list:

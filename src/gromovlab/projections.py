@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import reduce
-from itertools import chain, combinations
-from math import comb
+from itertools import chain
 from operator import or_
 
 import numpy as np
 
 from .electrify import SubgraphFamily
-from .graphs import MetricGraph, _check_vertex, check_int, check_theta, set_diameter
+from .graphs import MetricGraph, _check_vertex, check_real, set_diameter
 from .graphs import multi_source_distances, nearest_points, nearest_set
 
 
@@ -124,11 +123,10 @@ def triple_distance(g: MetricGraph, fam: SubgraphFamily, a: int, b: int, c: int)
     return int(ProjectionTable(g, fam).member(a)[b, c])
 
 
-def projection_constant(g: MetricGraph, fam: SubgraphFamily, table=None) -> int:
+def projection_constant(g: MetricGraph, fam: SubgraphFamily) -> int:
     """R: the largest diameter of the projection of one member onto another,
-    exact over every ordered pair (axiom 1), read from ``table`` if given."""
-    if table is None:
-        table = ProjectionTable(g, fam)
+    exact over every ordered pair (axiom 1)."""
+    table = ProjectionTable(g, fam)
     m = len(fam)
     if m < 2:
         raise ValueError("axiom check needs at least two family members")
@@ -140,28 +138,15 @@ def auto_theta(R: int) -> float:
     return float(3 * R + 3)
 
 
-def _subsets(m: int, k: int, budget: int, seed) -> np.ndarray:
-    """Every k-subset of range(m) as a sorted row when there are at most
-    ``budget``; otherwise ``budget`` of them, one ``rng.choice`` each."""
-    if comb(m, k) <= budget:
-        return np.array(list(combinations(range(m), k)), dtype=np.intp).reshape(-1, k)
-    rng = np.random.default_rng(seed)
-    draws = np.array([rng.choice(m, size=k, replace=False) for _ in range(budget)], dtype=np.intp)
-    return np.sort(draws.reshape(-1, k), axis=1)
-
-
 @dataclass
 class AxiomReport:
     R_measured: int
     theta: float
     theta_mode: str
     triples_checked: int
-    triples_exhaustive: bool
     axiom2_violations: list
-    axiom3_pairs: list
-    axiom3_counts: list
+    axiom3_histogram: list
     axiom3_max: int
-    seed: int | None
     note: str = field(
         default="auto theta is the heuristic 3 * (max projection diameter) + 3, a measured quantity"
     )
@@ -170,66 +155,72 @@ class AxiomReport:
         return asdict(self)
 
 
-def axiom_check(
-    g: MetricGraph,
-    fam: SubgraphFamily,
-    theta="auto",
-    triple_budget: int = 5000,
-    seed: int | None = 0,
-    axiom3_budget: int = 200,
-) -> AxiomReport:
-    """Verify the projection axioms on a family.
+def axiom_check(g: MetricGraph, fam: SubgraphFamily, theta="auto") -> AxiomReport:
+    """Verify the projection axioms on a family, over every pair and triple.
 
     Axiom 1: every pairwise projection has diameter <= R (R_measured is the
-    exact max over all ordered pairs).  Axiom 2: for each triple of members,
-    at most one of the three triple distances exceeds theta (exhaustive when
-    the triple count fits the budget, sampled otherwise).  Axiom 3: for
-    sampled member pairs (a, b), the number of members c with d_c(a,b) > theta
-    (always finite here; the count distribution is the signal).
+    exact max over all ordered pairs).  Axiom 2: for every triple of members,
+    at most one of the three triple distances exceeds theta.  Axiom 3: for
+    every member pair (a, b), the number of members c with d_c(a, b) > theta
+    (always finite here; entry k of the histogram counts the pairs that
+    exactly k members see apart).
+
+    One pass over the members keeps only the d_c(a, b), a < b, above the
+    running lower bound on theta (theta itself, or 3R + 3 for R so far; R
+    only grows), then filters them at the final theta.  The members of a
+    triple that violates axiom 2 are read a second time for its values.
     """
-    check_int("triple_budget", triple_budget, 1)
-    check_int("axiom3_budget", axiom3_budget, 0)
     theta_mode = "auto" if theta == "auto" else "given"
-    theta_val = None if theta_mode == "auto" else check_theta(theta)
+    theta_val = None if theta_mode == "auto" else check_real("theta", theta)
     table = ProjectionTable(g, fam)
     m = len(fam)
     if m < 2:
         raise ValueError("axiom check needs at least two family members")
 
-    exhaustive = comb(m, 3) <= triple_budget
-    tri = _subsets(m, 3, triple_budget, seed)
-    duo = _subsets(m, 2, axiom3_budget, None if seed is None else seed + 1)
-
-    # one pass over the members: R, the three values d_a(b, c), d_b(a, c),
-    # d_c(a, b) of every triple (a, b, c), and d_c(a, b) for every pair and c
-    values = np.zeros(tri.shape, dtype=np.int32)
-    column = np.zeros((len(duo), m), dtype=np.int32)  # 0 where c is in the pair
     R_measured = 0
+    kept = []  # per member c: the pairs a * m + b, a < b, with d_c(a, b) above the bound
     for c in range(m):
         M = table.member(c)
         R_measured = max(R_measured, int(M.diagonal().max()))
-        for j, (u, v) in enumerate(((1, 2), (0, 2), (0, 1))):
-            at = tri[:, j] == c
-            values[at, j] = M[tri[at, u], tri[at, v]]
-        column[:, c] = M[duo[:, 0], duo[:, 1]]
+        bound = auto_theta(R_measured) if theta_val is None else theta_val
+        pair = np.flatnonzero(np.triu(M, 1) > bound)
+        kept.append((pair.astype(np.int32), M.ravel()[pair]))  # and their d_c(a, b)
     if theta_val is None:
         theta_val = auto_theta(R_measured)
+    kept = [pair[value > theta_val] for pair, value in kept]
+    c = np.repeat(np.arange(m, dtype=np.int32), [len(pair) for pair in kept])
+    pair = np.concatenate(kept)
+    del kept
 
-    bad = (values > theta_val).sum(axis=1) >= 2
-    violations = [
-        {"triple": t, "values": v} for t, v in zip(tri[bad].tolist(), values[bad].tolist())
-    ]
-    counts = (column > theta_val).sum(axis=1).tolist()
+    # axiom 3: how many members see each pair (a, b) apart
+    seen = np.bincount(pair, minlength=m * m).reshape(m, m)
+    histogram = np.bincount(seen[np.triu_indices(m, 1)], minlength=1).tolist()
+
+    # axiom 2: a triple violates it when two of its members see the other
+    # two apart, so its key (the sorted triple) is kept twice
+    a, b = np.divmod(pair, m)
+    lo, hi = np.minimum(a, c), np.maximum(b, c)
+    key = np.sort((lo.astype(np.int64) * m + a + b + c - lo - hi) * m + hi)
+    twice = key[1:][key[1:] == key[:-1]]
+    bad = twice[np.diff(twice, prepend=-1) != 0]  # a key kept three times shows twice
+    triples = np.stack((bad // (m * m), bad // m % m, bad % m), axis=1)
+    # the values d_a(b, c), d_b(a, c), d_c(a, b) of each violation, read back
+    # from its members, since one of them may be at most theta
+    values = np.zeros(triples.shape, dtype=np.int32)
+    for member in sorted(set(triples.ravel().tolist())):
+        M = table.member(member)
+        for j, (u, v) in enumerate(((1, 2), (0, 2), (0, 1))):
+            at = triples[:, j] == member
+            values[at, j] = M[triples[at, u], triples[at, v]]
 
     return AxiomReport(
         R_measured=R_measured,
         theta=float(theta_val),
         theta_mode=theta_mode,
-        triples_checked=len(tri),
-        triples_exhaustive=exhaustive,
-        axiom2_violations=violations,
-        axiom3_pairs=duo.tolist(),
-        axiom3_counts=counts,
-        axiom3_max=max(counts) if counts else 0,
-        seed=seed,
+        triples_checked=m * (m - 1) * (m - 2) // 6,
+        axiom2_violations=[
+            {"triple": t, "values": v} for t, v in zip(triples.tolist(), values.tolist())
+        ],
+        axiom3_histogram=histogram,
+        axiom3_max=len(histogram) - 1,
     )

@@ -26,7 +26,7 @@ from .electrify import ElectrifiedGraph, SubgraphFamily, cone_visits, electrify,
 from .graphs import (
     MetricGraph,
     check_int_pairs,
-    check_theta,
+    check_real,
     graph_from_obj,
     graph_to_obj,
     read_json,
@@ -133,7 +133,7 @@ def build_quasitree(
     if len(fam) == 0:
         raise ValueError("cannot build a quasi-tree from an empty family")
     if theta != "auto":
-        theta = check_theta(theta)
+        theta = check_real("theta", theta)
     if rule not in RULES:
         raise ValueError(f"unknown cross-edge rule {rule!r}")
     table = ProjectionTable(g, fam)
@@ -248,7 +248,7 @@ def y_from_obj(obj) -> QuasiTreeSpace:
     return QuasiTreeSpace(
         graph=graph,
         tags=tags,
-        theta=check_theta(obj["theta"]),
+        theta=check_real("theta", obj["theta"]),
         rule=obj["rule"],
         cross_edges=obj.get("cross_edges", []),
         diff=obj.get("diff"),

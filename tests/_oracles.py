@@ -138,3 +138,28 @@ def _dijkstra_path(graph, weights: dict, source: int, target: int) -> list:
         walk.append(prev[walk[-1]])
     walk.reverse()
     return walk
+
+
+def axiom_oracle(D, members, theta="auto"):
+    """The projection-axiom audit by brute force over every pair and triple,
+    from ``triple_oracle``: R, theta (3R + 3 for "auto"), the axiom-2
+    violations, the axiom-3 histogram and the number of triples."""
+    m = len(members)
+    d = {
+        (c, a, b): triple_oracle(D, members, c, a, b)
+        for c, a, b in itertools.product(range(m), repeat=3)
+        if c not in (a, b)
+    }
+    R = max(d[c, a, a] for c in range(m) for a in range(m) if a != c)
+    theta = float(3 * R + 3) if theta == "auto" else float(theta)
+    violations = []
+    for a, b, c in itertools.combinations(range(m), 3):
+        values = [d[a, b, c], d[b, a, c], d[c, a, b]]
+        if sum(v > theta for v in values) >= 2:
+            violations.append({"triple": [a, b, c], "values": values})
+    counts = [
+        sum(d[c, a, b] > theta for c in range(m) if c not in (a, b))
+        for a, b in itertools.combinations(range(m), 2)
+    ]
+    histogram = [counts.count(k) for k in range(max(counts) + 1)]
+    return R, theta, violations, histogram, len(list(itertools.combinations(range(m), 3)))

@@ -83,10 +83,10 @@ def test_criterion_2_hyperbolicity_calibration(capsys):
 
 def test_criterion_3_projection_axioms(capsys):
     g, fam = family_instance("rings-3-3-12")
-    rep = axiom_check(g, fam, triple_budget=10_000)
+    rep = axiom_check(g, fam)
     ok = (
         rep.theta_mode == "auto"
-        and rep.triples_exhaustive
+        and rep.triples_checked == 9139
         and rep.axiom2_violations == []
         and rep.R_measured <= 2
     )

@@ -1,4 +1,5 @@
-"""Integer arguments: one check for the whole package, booleans never count."""
+"""Integer and real arguments: one check each for the whole package, booleans
+never count."""
 
 import pytest
 
@@ -12,6 +13,7 @@ from gromovlab.hyperbolicity import (
     quasiconvexity_constant,
 )
 from gromovlab.projections import axiom_check
+from gromovlab.quasitree import build_quasitree
 
 
 def _delta_samples(value):
@@ -21,11 +23,6 @@ def _delta_samples(value):
 def _qi_fit_pairs(value):
     _, _, eg, _, y = quasitree_setup(2, 3, 12)
     qi_fit(eg, y, basepoint=0, pair_budget=value)
-
-
-def _axioms_triples(value):
-    g, fam = family_instance("rings-2-3-12")
-    axiom_check(g, fam, triple_budget=value)
 
 
 def _penetration_samples(value):
@@ -47,7 +44,6 @@ def _distortion_pairs(value):
 COUNTS = [
     (_delta_samples, "samples"),
     (_qi_fit_pairs, "pair_budget"),
-    (_axioms_triples, "triple_budget"),
     (_penetration_samples, "budget"),
     (_penetration_deep, "deep_threshold"),
     (_quasiconvexity_pairs, "pair_budget"),
@@ -58,6 +54,39 @@ COUNTS = [
 @pytest.mark.parametrize("call,name", COUNTS, ids=[call.__name__[1:] for call, _ in COUNTS])
 @pytest.mark.parametrize("value,message", [(True, "integer"), (2.0, "integer"), (0, ">= 1")])
 def test_counts_reject_booleans_floats_and_zero(call, name, value, message):
+    with pytest.raises(ValueError, match=name) as info:
+        call(value)
+    assert message in str(info.value)
+
+
+def _penetration_quality(value):
+    penetration_profile(electrified(1, 1, 12), L=value, samples=5, seed=0)
+
+
+def _axioms_theta(value):
+    g, fam = family_instance("rings-2-3-12")
+    axiom_check(g, fam, theta=value)
+
+
+def _quasitree_theta(value):
+    g, fam = family_instance("rings-2-3-12")
+    build_quasitree(g, fam, value)
+
+
+REALS = [
+    (_penetration_quality, "quality L"),
+    (_axioms_theta, "theta"),
+    (_quasitree_theta, "theta"),
+]
+
+
+@pytest.mark.parametrize("call,name", REALS, ids=[call.__name__[1:] for call, _ in REALS])
+@pytest.mark.parametrize(
+    "value,message",
+    [(float("nan"), "finite"), (float("inf"), "finite"), (True, "real number")],
+    ids=["nan", "inf", "True"],
+)
+def test_reals_reject_booleans_and_non_finite_values(call, name, value, message):
     with pytest.raises(ValueError, match=name) as info:
         call(value)
     assert message in str(info.value)

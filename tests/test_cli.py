@@ -234,6 +234,27 @@ def test_a_non_finite_theta_exits_2(rings, tmp_path, capsys, command, theta):
     assert list(tmp_path.glob("x.*")) == []
 
 
+@pytest.mark.parametrize("quality", ["nan", "inf", "0.5"])
+def test_a_bad_penetration_quality_exits_2(rings, tmp_path, capsys, quality):
+    graph, family = rings
+    out = tmp_path / "x"
+    argv = ["penetration", graph, family, f"--quality={quality}", "--samples", "5"]
+    assert run([*argv, "--out", str(out)]) == 2
+    assert "quality L must be a finite positive number >= 1" in capsys.readouterr().err
+    assert list(tmp_path.glob("x.*")) == []
+
+
+def test_the_axiom_audit_takes_no_budget_and_ignores_its_seed(rings, tmp_path):
+    graph, family = rings
+    budget = ["--triple-budget", "10"]
+    assert run(["axioms", graph, family, *budget, "--out", str(tmp_path / "b")]) == 64
+    for seed in ("0", "5"):
+        assert run(["axioms", graph, family, "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+    zero, five = read(tmp_path / "0.axioms.json"), read(tmp_path / "5.axioms.json")
+    assert zero["manifest"]["seeds"] == five["manifest"]["seeds"] == {}
+    assert zero["data"] == five["data"]
+
+
 @pytest.mark.parametrize("command,extra", [("cover", ["--scale", "2"]), ("profile", ["--scales", "2"])])
 def test_a_zero_brick_width_exits_2(tmp_path, capsys, command, extra):
     out = tmp_path / "g"

@@ -112,32 +112,19 @@ def test_axiom_check_on_the_small_ring_tree():
     g, fam = family_instance("rings-2-3-12")
     rep = axiom_check(g, fam)
     assert rep.triples_checked == 220
-    assert rep.triples_exhaustive is True
     assert rep.axiom2_violations == []
     assert rep.axiom3_max == 2
-    assert len(rep.axiom3_pairs) == len(rep.axiom3_counts) == 66
-    assert rep.seed == 0
+    assert rep.axiom3_histogram == [21, 18, 27]  # over all 66 pairs
 
 
 def test_axiom_check_on_the_large_ring_tree_is_exhaustive_and_clean():
     g, fam = family_instance("rings-3-3-12")
-    rep = axiom_check(g, fam, triple_budget=10000)
+    rep = axiom_check(g, fam)
     assert rep.triples_checked == 9139
-    assert rep.triples_exhaustive is True
     assert rep.axiom2_violations == []
     assert rep.R_measured == 0
     assert rep.axiom3_max == 4
-
-
-def test_axiom_check_sampling_kicks_in_over_budget():
-    g, fam = family_instance("rings-3-3-12")
-    rep = axiom_check(g, fam, triple_budget=100)
-    assert rep.triples_checked == 100
-    assert rep.triples_exhaustive is False
-    assert rep.axiom2_violations == []
-    # same seed, same sampled triples
-    rep2 = axiom_check(g, fam, triple_budget=100)
-    assert rep2.to_obj() == rep.to_obj()
+    assert rep.axiom3_histogram == [75, 99, 162, 162, 243]
 
 
 def test_overlapping_intervals_violate_axiom_two_at_small_theta():
@@ -157,8 +144,6 @@ def test_axiom_check_validation():
     fam = SubgraphFamily([range(0, 12), range(8, 20), range(16, 28)])
     with pytest.raises(ValueError, match="two family members"):
         axiom_check(g, SubgraphFamily([[0, 1]]))
-    with pytest.raises(ValueError, match="triple_budget"):
-        axiom_check(g, fam, triple_budget=0)
     with pytest.raises(ValueError, match="positive"):
         axiom_check(g, fam, theta=-2)
 
@@ -190,14 +175,21 @@ def test_axiom_check_rejects_a_non_finite_theta(theta):
         axiom_check(g, fam, theta=theta)
 
 
-@settings(max_examples=60, deadline=None)
-@given(connected_graphs(), st.data())
-def test_the_table_matches_the_oracles_on_random_ball_families(g, data):
-    # overlapping balls of radius 0-2 have projections of positive diameter
+@st.composite
+def ball_families(draw):
+    """A random connected graph, its distance matrix, and 2-5 BFS balls of
+    radius 0-2; overlapping balls have projections of positive diameter."""
+    g = draw(connected_graphs())
     D = orc.distance_matrix(g)
-    balls = data.draw(st.lists(st.tuples(st.integers(0, g.n - 1), st.integers(0, 2)),
-                               min_size=2, max_size=5))
-    fam = SubgraphFamily([[v for v in range(g.n) if D[x, v] <= r] for x, r in balls])
+    balls = draw(st.lists(st.tuples(st.integers(0, g.n - 1), st.integers(0, 2)),
+                          min_size=2, max_size=5))
+    return g, D, SubgraphFamily([[v for v in range(g.n) if D[x, v] <= r] for x, r in balls])
+
+
+@settings(max_examples=60, deadline=None)
+@given(ball_families())
+def test_the_table_matches_the_oracles_on_random_ball_families(instance):
+    g, D, fam = instance
     members = fam.members
     m = len(members)
     table = ProjectionTable(g, fam)
@@ -217,6 +209,19 @@ def test_the_table_matches_the_oracles_on_random_ball_families(g, data):
             for d in range(m):
                 if d not in (b, c):
                     assert M[b, d] == orc.triple_oracle(D, members, c, b, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ball_families(), st.one_of(st.just("auto"), st.floats(0.25, 8.0)))
+def test_axiom_check_matches_the_brute_force_audit_on_random_ball_families(instance, theta):
+    g, D, fam = instance
+    rep = axiom_check(g, fam, theta=theta)
+    R, theta_val, violations, histogram, triples = orc.axiom_oracle(D, fam.members, theta)
+    assert (rep.R_measured, rep.theta) == (R, theta_val)
+    assert rep.axiom2_violations == violations
+    assert rep.axiom3_histogram == histogram
+    assert rep.axiom3_max == len(histogram) - 1
+    assert rep.triples_checked == triples
 
 
 def test_the_audits_and_the_farey_cover_never_import_numpy_ma():
@@ -250,9 +255,9 @@ def _sha256(obj) -> str:
 
 
 def test_the_axiom_payload_is_byte_stable():
-    rep = axiom_check(*tree_of_rings(3, 3, 12), seed=1)
+    rep = axiom_check(*tree_of_rings(3, 3, 12))
     assert _sha256(rep.to_obj()) == (
-        "5f4be6453343b89c5731b2130b148c1b828aad6d03df56aebd164fd7397b9932")
+        "114fe18ef99da57dde42edb0fe5cfa05a8a497ac94573570f6f6f88fdd368a8a")
 
 
 def test_the_quasitree_payload_is_byte_stable():

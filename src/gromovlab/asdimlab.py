@@ -17,11 +17,10 @@ import numpy as np
 
 from .graphs import (
     MetricGraph,
-    _bfs_levels,
-    bfs_levels,
     check_int,
     check_int_lists,
-    multi_source_distances,
+    dilation,
+    nearest_points,
     read_json,
     set_diameter,
     unwrap_payload,
@@ -91,20 +90,16 @@ def multiplicity_check(g: MetricGraph, cover, R: int) -> tuple:
     """
     blocks = cover.blocks if isinstance(cover, Cover) else tuple(cover)
     R = check_int("scale R", R, 0)
-    covered = [False] * g.n
-    for bi, block in enumerate(blocks):
-        for v in block:
-            if v < 0 or v >= g.n:
-                raise ValueError(f"block {bi} references unknown vertex {v}")
-            covered[v] = True
-    uncovered = [v for v in range(g.n) if not covered[v]]
-    if uncovered:
-        head = ", ".join(str(v) for v in uncovered[:10])
-        raise ValueError(f"blocks do not cover the graph; {len(uncovered)} uncovered (e.g. {head})")
     count = np.zeros(g.n, dtype=np.int64)
+    covered = np.zeros(g.n, dtype=bool)
     for block in blocks:
-        for _, level in _bfs_levels(g._adj, set(block), R):
-            count[level] += 1
+        if len(block):  # an empty block meets no ball
+            count[dilation(g, block, R)] += 1  # ids checked here
+            covered[list(block)] = True
+    uncovered = np.flatnonzero(~covered)
+    if uncovered.size:
+        head = ", ".join(str(v) for v in uncovered[:10])
+        raise ValueError(f"blocks do not cover the graph; {uncovered.size} uncovered (e.g. {head})")
     witness = int(count.argmax())
     return int(count[witness]), witness
 
@@ -161,74 +156,46 @@ def cover_at_scale(g: MetricGraph, R: int, strategy: str, params=None) -> Cover:
         return Cover.from_blocks(g, blocks, R, "brick")
 
     if strategy == "net_voronoi":
-        big = max(g.n + 1, 2 * R + 2)
-        to_net = [big] * g.n
+        covered = np.zeros(g.n, dtype=bool)  # within 2R of the net so far
         net = []
         for v in range(g.n):
-            if to_net[v] > 2 * R:
+            if not covered[v]:
                 net.append(v)
-                # truncated BFS relaxation from the new net point
-                for dw, level in bfs_levels(g, [v], 2 * R):
-                    for w in level:
-                        if dw < to_net[w]:
-                            to_net[w] = dw
-        dist = multi_source_distances(g, net)
-        owner = [-1] * g.n
-        for s in net:
-            owner[s] = s
-        for v in sorted(range(g.n), key=lambda v: (int(dist[v]), v)):
-            if owner[v] >= 0:
-                continue
-            owner[v] = min(
-                owner[w] for w in g.neighbors(v) if dist[w] == dist[v] - 1 and owner[w] >= 0
-            )
-        cells = {}
-        for v in range(g.n):
-            cells.setdefault(owner[v], []).append(v)
+                covered[dilation(g, [v], 2 * R)] = True
+        # v's cell is its least-id nearest net point: net is sorted, so that
+        # is the lowest set bit of v's nearest_points label
+        _, labels = nearest_points(g, net)
+        cells = [[] for _ in net]
+        for v, mask in enumerate(labels):
+            cells[(mask & -mask).bit_length() - 1].append(v)
         # merge pass: Voronoi fragments (cells in net order) join the earliest
         # block within 2R whose union still fits the 8R diameter cap; this
         # heals the fragmentation around high-valence junctions
         cap = 8 * R
+        where = np.full(g.n, -1, dtype=np.intp)  # vertex -> block, -1 unplaced
         blocks = []
-        for s in sorted(cells):
-            cell = cells[s]
-            reach = {w for _, level in bfs_levels(g, cell, 2 * R) for w in level}
-            target = -1
-            union = None
-            for bi, bv in enumerate(blocks):
-                if any(v in reach for v in bv):
-                    candidate = sorted(set(bv) | set(cell))
-                    if set_diameter(g, candidate, cap) <= cap:
-                        target, union = bi, candidate
-                        break
-            if target >= 0:
-                blocks[target] = union
+        for cell in cells:
+            for bi in sorted(set(where[dilation(g, cell, 2 * R)].tolist()) - {-1}):
+                if set_diameter(g, blocks[bi] + cell, cap) <= cap:
+                    blocks[bi] += cell
+                    break
             else:
-                blocks.append(sorted(cell))
+                bi = len(blocks)
+                blocks.append(cell)
+            where[cell] = bi
         # greedy coloring of the block-adjacency-within-2R graph: same-colored
         # blocks are > 2R apart, so an R-ball meets at most num_colors blocks
-        where = {}
+        colors = []
         for bi, bv in enumerate(blocks):
-            for v in bv:
-                where[v] = bi
-        adjacent = {bi: set() for bi in range(len(blocks))}
-        for bi, bv in enumerate(blocks):
-            for _, level in bfs_levels(g, bv, 2 * R):
-                for w in level:
-                    bj = where[w]
-                    if bj != bi:
-                        adjacent[bi].add(bj)
-                        adjacent[bj].add(bi)
-        colors = {}
-        for bi in range(len(blocks)):
-            used = {colors[bj] for bj in adjacent[bi] if bj in colors}
+            near = set(where[dilation(g, bv, 2 * R)].tolist())
+            used = {colors[bj] for bj in near if bj < bi}
             color = 0
             while color in used:
                 color += 1
-            colors[bi] = color
+            colors.append(color)
         meta = {
             "net": net,
-            "num_colors": max(colors.values()) + 1 if colors else 0,
+            "num_colors": max(colors) + 1,
             "certificate": (
                 "blocks sharing a color are pairwise > 2R apart, so an R-ball "
                 "meets at most num_colors blocks"

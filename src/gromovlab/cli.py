@@ -508,9 +508,6 @@ def main(argv=None) -> int:
     except SizeLimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -345,6 +345,7 @@ def penetration_profile(
     samples = check_int("sampling budget", samples, 1)
     deep_threshold = check_int("deep_threshold", deep_threshold, 1)
     alternates = check_int("alternates", alternates, 0)
+    seed = check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     graph = eg.graph
     base_n = eg.base_size

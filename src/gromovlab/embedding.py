@@ -151,6 +151,7 @@ def qi_fit(
     embedding is only informative when those parts are tree-like.
     """
     check_int("pair_budget", pair_budget, 1)
+    seed = None if seed is None else check_int("seed", seed, 0)
     base = eg.base_graph()
     rng = np.random.default_rng(seed)
     anchor_id = _anchor_ids(eg, y, basepoint)

@@ -259,9 +259,7 @@ class MetricGraph:
 
     def ball(self, u: int, r: int) -> list:
         """Sorted vertex ids within distance r of u (truncated BFS, uncached)."""
-        u = _check_vertex(self._n, u)
-        r = check_int("radius", r, 0)
-        return sorted(w for _, level in _bfs_levels(self._adj, [u], r) for w in level)
+        return sorted(dilation(self, [u], r))
 
     # -- derived graphs ------------------------------------------------------
 
@@ -293,21 +291,27 @@ class MetricGraph:
         return reached == len(vs)
 
 
-def bfs_levels(g: MetricGraph, sources, radius=None):
-    """(d, vertices at distance d from the set ``sources``), level by level,
-    up to ``radius`` if given."""
+def _check_sources(g: MetricGraph, sources) -> list:
+    """The distinct ids of ``sources``, sorted; an empty set or an unknown or
+    mistyped id is refused."""
     seeds = sorted({_check_vertex(g.n, s) for s in sources})
     if not seeds:
         raise ValueError("need at least one source vertex")
-    if radius is not None:
-        radius = check_int("radius", radius, 0)
-    return _bfs_levels(g._adj, seeds, radius)
+    return seeds
+
+
+def dilation(g: MetricGraph, sources, radius) -> list:
+    """The vertex ids within ``radius`` of the set ``sources``, nearest first
+    (one truncated BFS): the ``radius``-neighbourhood of a block."""
+    seeds = _check_sources(g, sources)
+    radius = check_int("radius", radius, 0)
+    return [w for _, level in _bfs_levels(g._adj, seeds, radius) for w in level]
 
 
 def multi_source_distances(g: MetricGraph, sources) -> np.ndarray:
     """BFS distance to the nearest of ``sources`` for every vertex."""
     row = np.full(g.n, -1, dtype=np.int32)
-    for d, level in bfs_levels(g, sources):
+    for d, level in _bfs_levels(g._adj, _check_sources(g, sources)):
         row[level] = d
     return row
 
@@ -318,7 +322,7 @@ def nearest_points(g: MetricGraph, H):
     exactly: a vertex's label is the union of its neighbours' one level closer."""
     dist = [g.n] * g.n  # g.n: not reached yet
     labels = [0] * g.n
-    for d, level in bfs_levels(g, H):
+    for d, level in _bfs_levels(g._adj, _check_sources(g, H)):
         for i, w in enumerate(level):  # level 0 is sorted(H)
             dist[w] = d
             labels[w] = 0 if d else 1 << i

@@ -214,6 +214,7 @@ def four_point_delta(
         samples = check_int("samples", samples, 1)
         if seed is None:
             raise ValueError("sampled mode needs a seed")
+        seed = check_int("seed", seed, 0)
         if g.n < 4:
             return DeltaReport(0.0, "sampled", samples, seed, None, g.n)
         rng = np.random.default_rng(seed)
@@ -244,6 +245,7 @@ def four_point_delta(
 
 def _sample_index_pairs(k: int, budget: int, seed: int | None):
     """All index pairs if they fit the budget, else a seeded sample."""
+    seed = None if seed is None else check_int("seed", seed, 0)
     total = k * (k - 1) // 2
     if total <= budget:
         return list(combinations(range(k), 2))

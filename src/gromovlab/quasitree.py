@@ -196,7 +196,7 @@ def build_quasitree(
         cross.append({"c": c, "d": d, "x_cd": x_cd, "x_dc": x_dc})
 
     diff = None
-    if with_diff and proj_pairs is not None and wide_pairs is not None:
+    if with_diff:
         diff = {
             "projection_only": sorted(list(p) for p in proj_pairs - wide_pairs),
             "widepoint_only": sorted(list(p) for p in wide_pairs - proj_pairs),

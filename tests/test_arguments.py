@@ -1,5 +1,5 @@
-"""Integer and real arguments: one check each for the whole package, booleans
-never count."""
+"""Integer and real arguments, seeds included: one check each for the whole
+package, booleans never count."""
 
 import pytest
 
@@ -55,6 +55,38 @@ COUNTS = [
 @pytest.mark.parametrize("value,message", [(True, "integer"), (2.0, "integer"), (0, ">= 1")])
 def test_counts_reject_booleans_floats_and_zero(call, name, value, message):
     with pytest.raises(ValueError, match=name) as info:
+        call(value)
+    assert message in str(info.value)
+
+
+def _delta_seed(value):
+    four_point_delta(small("cycle-8"), mode="sampled", samples=10, seed=value)
+
+
+def _penetration_seed(value):
+    penetration_profile(electrified(1, 1, 12), L=1.5, samples=5, seed=value)
+
+
+def _qi_fit_seed(value):
+    _, _, eg, _, y = quasitree_setup(2, 3, 12)
+    qi_fit(eg, y, basepoint=0, pair_budget=5, seed=value)
+
+
+def _quasiconvexity_seed(value):
+    quasiconvexity_constant(path(8), range(4), pair_budget=2, seed=value)
+
+
+def _distortion_seed(value):
+    intrinsic_vs_extrinsic(path(8), range(4), pair_budget=2, seed=value)
+
+
+SEEDS = [_delta_seed, _penetration_seed, _qi_fit_seed, _quasiconvexity_seed, _distortion_seed]
+
+
+@pytest.mark.parametrize("call", SEEDS, ids=[call.__name__[1:] for call in SEEDS])
+@pytest.mark.parametrize("value,message", [(True, "integer"), (1.5, "integer"), (-1, ">= 0")])
+def test_seeds_reject_booleans_floats_and_negatives(call, value, message):
+    with pytest.raises(ValueError, match="seed") as info:
         call(value)
     assert message in str(info.value)
 

@@ -1,5 +1,6 @@
 """Covers at scale, multiplicity verification, profiles, and genus bounds."""
 
+import hashlib
 import json
 
 import pytest
@@ -20,7 +21,7 @@ from gromovlab.asdimlab import (
     multiplicity_check,
     product_cover,
 )
-from gromovlab.generators import farey_ball, grid, path, tree
+from gromovlab.generators import farey_ball, grid, path, tree, tree_of_rings
 from gromovlab.graphs import MetricGraph, cartesian_product, dump_json
 
 
@@ -62,6 +63,10 @@ def test_multiplicity_check_validation():
         multiplicity_check(g, [[0, 1, 2]], 1)
     with pytest.raises(ValueError, match="unknown vertex"):
         multiplicity_check(g, [list(range(10)), [77]], 1)
+    # a float or a boolean is no vertex id, even where its value would be one
+    for blocks in ([[0, 1, 2], [3, 4, 5.0]], [[0, 1, True], [2, 3, 4, 5]]):
+        with pytest.raises(ValueError, match="vertex id must be an integer"):
+            multiplicity_check(path(6), blocks, 1)
     for bad_r in (-1, True, 1.5):
         with pytest.raises(ValueError, match="scale R"):
             multiplicity_check(g, [list(range(10))], bad_r)
@@ -151,6 +156,54 @@ def test_net_voronoi_cover_of_the_farey_ball_at_scale_one():
     # the merge asks set_diameter only whether each candidate stays within 8R
     cov = cover_at_scale(farey_ball(9), 1, "net_voronoi")
     assert (cov.D, cov.multiplicity, len(cov.blocks)) == (8, 3, 6)
+
+
+@pytest.mark.parametrize(
+    "make,R,digest",
+    [
+        (lambda: grid(40, 40), 4, "2d619672b8088e9ec32b74d557f7a04865b4bdca15c61201dc2308ac36a14a02"),
+        (lambda: farey_ball(9), 1, "70176d98d4d626546dbc11b43b06ad748bbbfa1f5a4dd1e0dca5a68ad0ffa746"),
+        (lambda: farey_ball(9), 4, "5ceffddab83c18e59af26f2a0ac51b3cbf4e2b74d845cef2e2977282f782c00d"),
+        (lambda: tree_of_rings(3, 3, 12)[0], 4, "3f4518616d78dbdb4bdf12667fac2b235c01d9f44f1f2126b57c6501838b3ee6"),
+    ],
+    ids=["grid-40-40", "farey-9-R1", "farey-9-R4", "rings-3-3-12"],
+)
+def test_net_voronoi_payloads_are_pinned(make, R, digest):
+    # blocks, net and num_colors: the whole payload, byte for byte
+    payload = dump_json(cover_at_scale(make(), R, "net_voronoi").to_obj())
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+def subdivided(g, k):
+    """``g`` with every edge replaced by a path of k edges, new vertices last."""
+    edges = []
+    n = g.n
+    for u, v in g.edges:
+        walk = [u, *range(n, n + k - 1), v]
+        n += k - 1
+        edges += zip(walk, walk[1:])
+    return MetricGraph(n, edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_graphs(), st.integers(1, 4), st.integers(1, 3))
+def test_net_voronoi_net_and_cells_match_the_distance_matrix(g, k, R):
+    # subdivided edges stretch the 12-vertex graphs past the 8R block cap,
+    # so that most covers have several blocks
+    g = subdivided(g, k)
+    D = orc.distance_matrix(g)
+    cov = cover_at_scale(g, R, "net_voronoi")
+    net = []
+    for v in range(g.n):  # the greedy 2R-net in id order
+        if all(D[v][s] > 2 * R for s in net):
+            net.append(v)
+    assert cov.meta["net"] == net
+    blocks_partition(g, cov)
+    where = {v: bi for bi, b in enumerate(cov.blocks) for v in b}
+    for v in range(g.n):
+        # v's cell is its least-id nearest net point's, and blocks are unions of cells
+        owner = min(net, key=lambda s: (D[v][s], s))
+        assert where[v] == where[owner]
 
 
 def test_every_strategy_rechecks_multiplicity_against_the_graph():

@@ -18,6 +18,7 @@ from gromovlab.graphs import (
     MetricGraph,
     biconnected_blocks,
     cartesian_product,
+    dilation,
     dump_json,
     graph_from_obj,
     graph_to_dot,
@@ -244,6 +245,9 @@ def test_set_diameter_and_bfs_views_match_networkx(g, data):
     assert g.ball(u, r) == [v for v in range(g.n) if D[u, v] <= r]
     sources = data.draw(vertex_sets)
     assert np.array_equal(multi_source_distances(g, sources), D[sources].min(axis=0))
+    reach = dilation(g, sources, r)
+    assert sorted(reach) == [v for v in range(g.n) if D[sources, v].min() <= r]
+    assert [int(D[sources, v].min()) for v in reach] == sorted(D[sources, v].min() for v in reach)
     h = orc.to_networkx(g)
     assert g.is_connected_subset(vs) == nx.is_connected(h.subgraph(vs))
 
@@ -414,11 +418,16 @@ def test_nearest_points_and_sets_match_the_distance_matrix_argmin(g, data):
 
 
 def test_nearest_points_validation():
+    # nearest_points, multi_source_distances and dilation share one source check
     g = grid(3, 3)
-    with pytest.raises(ValueError, match="at least one"):
-        nearest_points(g, [])
-    with pytest.raises(ValueError, match="unknown vertex"):
-        nearest_points(g, [0, 9])
+    bad = [([], "at least one"), ([0, 9], "unknown vertex"), ([0, True], "integer"), ([1.5], "integer")]
+    for call in (nearest_points, multi_source_distances, lambda g, s: dilation(g, s, 1)):
+        for sources, message in bad:
+            with pytest.raises(ValueError, match=message):
+                call(g, sources)
+    for radius in (-1, True, 1.5):
+        with pytest.raises(ValueError, match="radius"):
+            dilation(g, [0], radius)
 
 
 @settings(max_examples=60, deadline=None)

@@ -48,6 +48,9 @@ class Cover:
         norm = tuple(tuple(sorted(set(b))) for b in blocks)
         if not norm:
             raise ValueError("a cover needs at least one block")
+        empty = [i for i, b in enumerate(norm) if not b]
+        if empty:
+            raise ValueError(f"cover block {empty[0]} is empty (of {len(norm)} blocks)")
         mult, witness = multiplicity_check(g, norm, R)
         diam = max(set_diameter(g, b) for b in norm)
         return cls(

@@ -155,21 +155,16 @@ def qi_fit(
     base = eg.base_graph()
     rng = np.random.default_rng(seed)
     anchor_id = _anchor_ids(eg, y, basepoint)
-    pairs = [(int(rng.integers(base.n)), int(rng.integers(base.n))) for _ in range(pair_budget)]
-    pairs = [(u, v) for u, v in pairs if u != v]
+    pairs = rng.integers(base.n, size=(pair_budget, 2))
+    us, vs = pairs[pairs[:, 0] != pairs[:, 1]].T
     # the electrified rows of u and v are also the anchors' geodesic targets
-    eg.graph.prefetch_rows(w for pair in pairs for w in pair)
-    base.prefetch_rows(u for u, _ in pairs)
-    y.graph.prefetch_rows(anchor_id(u) for u, _ in pairs)
-    records = []
-    L_fit = 1.0
-    for u, v in pairs:
-        d_g = base.shortest_distance(u, v)
-        d_p = int(eg.graph.shortest_distance(u, v)) + int(
-            y.graph.shortest_distance(anchor_id(u), anchor_id(v))
-        )
-        records.append([d_g, d_p])
-        L_fit = max(L_fit, _min_L_for_pair(d_g, d_p))
+    eg.graph.prefetch_rows(np.concatenate([us, vs]))
+    d_g = base.pair_distances(us, vs)
+    au = np.array([anchor_id(u) for u in us.tolist()], dtype=np.intp)
+    av = np.array([anchor_id(v) for v in vs.tolist()], dtype=np.intp)
+    d_p = eg.graph.pair_distances(us, vs) + y.graph.pair_distances(au, av)
+    records = np.stack([d_g, d_p], axis=1).tolist()
+    L_fit = max((_min_L_for_pair(*pair) for pair in set(map(tuple, records))), default=1.0)
 
     C_fit = L_fit
     eps = 1e-9

@@ -70,6 +70,21 @@ def _check_vertex(n: int, v) -> int:
     return v
 
 
+def _check_ids(n: int, ids) -> np.ndarray:
+    """``ids`` as a 1-D array of vertex ids in 0..n-1.  An array must have an
+    integer dtype (booleans are refused), and any other sequence is checked
+    id by id as ``_check_vertex`` does; an unknown id is refused."""
+    if isinstance(ids, np.ndarray):
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise ValueError(f"vertex ids must be a 1-D integer array, got {ids.dtype} {ids.shape}")
+    else:
+        ids = np.array([check_int("vertex id", v) for v in ids], dtype=np.intp)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        bad = ids[(ids < 0) | (ids >= n)][0]
+        raise ValueError(f"unknown vertex id {bad} (graph has {n} vertices)")
+    return ids
+
+
 def _bfs_levels(adj, seeds, radius=None, within=None):
     """Breadth-first search over the adjacency tuples ``adj``: yields
     (d, vertices at distance d from ``seeds``) level by level, up to
@@ -209,10 +224,26 @@ class MetricGraph:
         come from ``_bit_bfs`` passes of 64 sources each; every pass leaves
         a read-only (k, n) block, and its rows are cached as views of it, so
         nothing is copied.  Ids are all checked before any row is computed."""
-        todo = sorted({_check_vertex(self._n, s) for s in sources} - self._dist_rows.keys())
+        todo = sorted(set(_check_ids(self._n, sources).tolist()) - self._dist_rows.keys())
         for batch, block in self._row_blocks(todo):
             block.setflags(write=False)
             self._dist_rows.update(zip(batch, block))
+
+    def pair_distances(self, us, vs) -> np.ndarray:
+        """d(us[i], vs[i]) for every i, as an int32 array: the rows of the
+        distinct ``us`` are filled by one ``prefetch_rows``, then each
+        distance is read from its cached row, so no (k, n) block of rows is
+        ever stacked.  The ids are all checked first, as ``_check_vertex``
+        checks one: integer dtype (booleans refused) and in range."""
+        us = _check_ids(self._n, us)
+        vs = _check_ids(self._n, vs)
+        if us.shape != vs.shape:
+            raise ValueError(f"pair_distances needs equal id counts, got {len(us)} and {len(vs)}")
+        self.prefetch_rows(np.flatnonzero(np.bincount(us, minlength=self._n)))
+        rows = self._dist_rows
+        return np.fromiter(
+            (rows[u][v] for u, v in zip(us.tolist(), vs.tolist())), dtype=np.int32, count=len(us)
+        )
 
     def distance_matrix(self) -> np.ndarray:
         """Full all-pairs distance matrix (cached); n^2 int32, held once.

@@ -8,8 +8,8 @@ w, x, y, z form the three pairwise distance sums
 the defect of the quadruple is (largest sum - middle sum) and the constant is
 half the maximal defect.  On unit-edge graphs this is always a half-integer.
 
-Exact mode (behind a vertex-count size guard) rests on four facts: the
-constant of a graph is the maximum over its biconnected blocks, each of
+Exact mode (within a cost budget, ``ExactBudget``) rests on four facts:
+the constant of a graph is the maximum over its biconnected blocks, each of
 which is isometric in it; some quadruple of maximal defect has both pairs
 of its largest sum far-apart, so that no neighbour of either end is farther
 from the other end (Cohen, Coudert and Lancin); a defect is at most twice
@@ -21,7 +21,7 @@ beat the best defect so far, or once that reaches the block's diameter.  A
 second scan of the whole graph, over the vertices that can belong to the
 first attaining quadruple, then reports the lexicographically smallest
 quadruple attaining the maximum.  Sampled mode draws quadruples from a
-seeded generator.
+seeded generator and scores them a chunk at a time.
 """
 
 from __future__ import annotations
@@ -39,10 +39,26 @@ from .graphs import (
     multi_source_distances,
 )
 
-EXACT_SIZE_GUARD = 300
 
-# sampled mode draws its quadruples this many at a time and prefetches each
-# chunk's rows, so the draws take fixed memory whatever the sample count
+@dataclass(frozen=True)
+class ExactBudget:
+    """What exact mode may spend before it refuses a graph: the bytes of its
+    n x n int32 distance matrix, checked before the matrix is allocated, and
+    the far-apart pairs of each block, checked before that block's tile scan
+    (whose work grows with their square).  The defaults admit every graph of
+    at most 362 vertices (C(362, 2) < 2^16 pairs), farey_ball(8) and
+    tree_of_rings(4, 3, 16), and refuse farey_ball(9) (178 022 pairs)."""
+
+    matrix_bytes: int = 64 << 20
+    far_pairs: int = 1 << 16
+
+    def __post_init__(self):
+        check_int("matrix_bytes", self.matrix_bytes, 1)
+        check_int("far_pairs", self.far_pairs, 1)
+
+
+# sampled mode draws its quadruples this many at a time and scores each chunk
+# as arrays, so the draws take fixed memory whatever the sample count
 _SAMPLE_CHUNK = 1024
 
 
@@ -74,6 +90,8 @@ def _defect_top_mid(s1, s2, s3):
 # so the scan's scratch memory is fixed whatever the number of pairs
 _TILE_COLS = 1024
 _TILE_ROWS = 256
+# the witness scan scores at most this many (k, l) cells at a time
+_WITNESS_CELLS = 1 << 15
 
 
 def _far_apart_pairs(D: np.ndarray, nbrs: list) -> tuple:
@@ -85,9 +103,11 @@ def _far_apart_pairs(D: np.ndarray, nbrs: list) -> tuple:
     return np.nonzero(np.triu((M <= D) & (M.T <= D), 1))
 
 
-def _max_defect(D: np.ndarray, nbrs: list, best: int) -> int:
+def _max_defect(D: np.ndarray, nbrs: list, best: int, max_pairs: int) -> int:
     """Largest quadruple defect of the block with distance matrix ``D`` and
     block adjacency lists ``nbrs`` if it exceeds ``best``, else ``best``.
+    A block with more than ``max_pairs`` far-apart pairs is refused with a
+    SizeLimitError before its scan starts.
 
     Some quadruple of maximal defect has both pairs of its largest sum
     far-apart (Cohen, Coudert and Lancin, "On computing the Gromov
@@ -106,6 +126,11 @@ def _max_defect(D: np.ndarray, nbrs: list, best: int) -> int:
         return best
     D = D.astype(np.min_scalar_type(-2 * diam - 1))  # holds sums and scores, ±2 diam
     xs, ys = _far_apart_pairs(D, nbrs)
+    if len(xs) > max_pairs:
+        raise SizeLimitError(
+            f"exact mode scans at most {max_pairs} far-apart pairs per block, a block of "
+            f"{len(D)} vertices has {len(xs)}; use sampled mode"
+        )
     d = D[xs, ys]
     order = np.argsort(-d, kind="stable")
     xs, ys, d = xs[order], ys[order], d[order]
@@ -146,6 +171,9 @@ def _first_witness(D: np.ndarray, blocks: list, t: int) -> tuple:
     with a positive defect has such a block; so the first quadruple uses only
     the smallest vertex of each gate's fiber, in blocks of diameter >= t.
     And only vertices at distance >= t/2 from both i and j can complete it.
+    For each (i, j) the (k, l) cells of those vertices are scored in chunks
+    of whole rows, at most ``_WITNESS_CELLS`` cells each where a row allows,
+    taken in order, so the scan's scratch memory is bounded.
     """
     if t == 0:
         return (0, 1, 2, 3)
@@ -155,19 +183,27 @@ def _first_witness(D: np.ndarray, blocks: list, t: int) -> tuple:
             gates = D[:, b].argmin(axis=1)
             keep[np.unique(gates, return_index=True)[1]] = True
     ids = np.flatnonzero(keep)
-    D = D[np.ix_(ids, ids)]
-    far = 2 * D >= t
+    if len(ids) < D.shape[0]:
+        D = D[np.ix_(ids, ids)]
+    far = D >= (t + 1) // 2  # 2 d >= t
     for i in range(len(ids) - 3):
         for j in np.flatnonzero(far[i, i + 1:]) + i + 1:
             c = np.flatnonzero(far[i, j + 1:] & far[j, j + 1:]) + j + 1
             if len(c) < 2:
                 continue
-            s2 = D[i, c][:, None] + D[j, c][None, :]
-            defect = _defect_top_mid(int(D[i, j]) + D[np.ix_(c, c)], s2, s2.T)
-            hit = np.triu(defect == t, 1)
-            if hit.any():
-                k, l = divmod(int(np.argmax(hit)), len(c))
-                return tuple(int(ids[v]) for v in (i, j, c[k], c[l]))
+            dic, djc = D[i, c], D[j, c]
+            step = max(1, _WITNESS_CELLS // len(c))
+            for r in range(0, len(c) - 1, step):
+                # rows k in c[r:r + step] against the columns l in c[r + 1:]
+                rows, cols = slice(r, r + step), slice(r + 1, None)
+                s1 = D[np.ix_(c[rows], c[cols])]
+                s1 += D[i, j]
+                s2 = dic[rows, None] + djc[None, cols]
+                s3 = djc[rows, None] + dic[None, cols]
+                hit = np.triu(_defect_top_mid(s1, s2, s3) == t)  # l > k
+                if hit.any():
+                    k, l = divmod(int(np.argmax(hit)), hit.shape[1])
+                    return tuple(int(ids[v]) for v in (i, j, c[r + k], c[r + 1 + l]))
     raise AssertionError(f"no quadruple attains the maximum defect {t}")
 
 
@@ -176,25 +212,32 @@ def four_point_delta(
     mode: str = "exact",
     samples: int | None = None,
     seed: int | None = None,
-    size_guard: int = EXACT_SIZE_GUARD,
+    budget: ExactBudget = ExactBudget(),
 ) -> DeltaReport:
     """Four-point hyperbolicity constant, exact or sampled.
 
-    Exact mode refuses graphs above ``size_guard`` vertices.  It takes the
-    maximum defect over the biconnected blocks, largest first, each scanned
-    by ``_max_defect`` over the far-apart pairs of the block's own adjacency,
-    in tiles, with its pair and diameter exits.  The witness is the
-    lexicographically smallest quadruple of the whole graph attaining that
-    maximum, found by a second, bounded scan; it may span several blocks, and
-    on a graph with delta 0 it is (0, 1, 2, 3).  Reports are therefore
-    reproducible bit for bit.  Sampled mode needs ``samples`` >= 1 and a
-    seed; its value never exceeds the exact one.
+    Exact mode refuses, with a SizeLimitError, a graph whose distance matrix
+    or whose far-apart pairs of some block exceed the ``budget``.  It takes
+    the maximum defect over the biconnected blocks, largest first, each
+    scanned by ``_max_defect`` over the far-apart pairs of the block's own
+    adjacency, in tiles, with its pair and diameter exits.  The witness is
+    the lexicographically smallest quadruple of the whole graph attaining
+    that maximum, found by a second, bounded scan; it may span several
+    blocks, and on a graph with delta 0 it is (0, 1, 2, 3).  Reports are
+    therefore reproducible bit for bit.  Sampled mode needs ``samples`` >= 1
+    and a seed; its value never exceeds the exact one.  A seed, when given,
+    is checked in either mode.
     """
+    if seed is not None:
+        seed = check_int("seed", seed, 0)
     if mode == "exact":
-        if g.n > size_guard:
+        if not isinstance(budget, ExactBudget):
+            raise ValueError(f"budget must be an ExactBudget, got {budget!r:.60}")
+        nbytes = 4 * g.n * g.n
+        if nbytes > budget.matrix_bytes:
             raise SizeLimitError(
-                f"exact mode needs <= {size_guard} vertices, graph has {g.n}; "
-                "use sampled mode"
+                f"exact mode needs the {g.n} x {g.n} distance matrix ({nbytes} bytes) "
+                f"within {budget.matrix_bytes} bytes; use sampled mode"
             )
         if g.n < 4:
             return DeltaReport(0.0, "exact", None, None, None, g.n)
@@ -206,7 +249,8 @@ def four_point_delta(
                 break
             index = {v: i for i, v in enumerate(b)}
             nbrs = [[index[w] for w in g.neighbors(v) if w in index] for v in b]
-            best = _max_defect(D[np.ix_(b, b)], nbrs, best)
+            block = D if len(b) == g.n else D[np.ix_(b, b)]
+            best = _max_defect(block, nbrs, best, budget.far_pairs)
         witness = _first_witness(D, blocks, best)
         return DeltaReport(best / 2.0, "exact", None, None, witness, g.n)
 
@@ -214,30 +258,25 @@ def four_point_delta(
         samples = check_int("samples", samples, 1)
         if seed is None:
             raise ValueError("sampled mode needs a seed")
-        seed = check_int("seed", seed, 0)
         if g.n < 4:
             return DeltaReport(0.0, "sampled", samples, seed, None, g.n)
         rng = np.random.default_rng(seed)
         best = -1
         witness = None
         for start in range(0, samples, _SAMPLE_CHUNK):
-            # draw a chunk, then prefetch the w, x, y rows it reads
             quads = np.empty((min(_SAMPLE_CHUNK, samples - start), 4), dtype=np.intp)
             for q in quads:
                 q[:] = rng.choice(g.n, size=4, replace=False)
-            g.prefetch_rows(np.flatnonzero(np.bincount(quads[:, :3].ravel(), minlength=g.n)))
-            for q in quads:
-                w_, x, y, z = (int(v) for v in q)
-                dw = g.distances_from(w_)
-                dx = g.distances_from(x)
-                dy = g.distances_from(y)
-                sums = sorted(
-                    (int(dw[x] + dy[z]), int(dw[y] + dx[z]), int(dw[z] + dx[y]))
-                )
-                defect = sums[2] - sums[1]
-                if defect > best:
-                    best = defect
-                    witness = (w_, x, y, z)
+            # the six distances of every quadruple, rows from w, x and y:
+            # d(w,x) d(y,z) | d(w,y) d(x,z) | d(w,z) d(x,y)
+            d = g.pair_distances(
+                quads[:, [0, 2, 0, 1, 0, 1]].T.ravel(), quads[:, [1, 3, 2, 3, 3, 2]].T.ravel()
+            ).reshape(6, -1)
+            defect = _defect_top_mid(d[0] + d[1], d[2] + d[3], d[4] + d[5])
+            top = int(np.argmax(defect))
+            if defect[top] > best:  # an earlier chunk keeps its witness on a tie
+                best = int(defect[top])
+                witness = tuple(int(v) for v in quads[top])
         return DeltaReport(best / 2.0, "sampled", samples, seed, witness, g.n)
 
     raise ValueError(f"unknown mode {mode!r} (expected 'exact' or 'sampled')")

@@ -75,6 +75,23 @@ def quadruple_defect(D, quad):
     return int(s[2] - s[1])
 
 
+def sampled_delta_loop(D, samples, seed):
+    """Sampled four-point delta one quadruple at a time, as (delta, witness):
+    the draws of the package's sampled mode (four distinct vertices per
+    quadruple), and the first quadruple of the largest defect as witness."""
+    n = D.shape[0]
+    if n < 4:
+        return 0.0, None
+    rng = np.random.default_rng(seed)
+    best, witness = -1, None
+    for _ in range(samples):
+        quad = tuple(int(v) for v in rng.choice(n, size=4, replace=False))
+        defect = quadruple_defect(D, quad)
+        if defect > best:
+            best, witness = defect, quad
+    return best / 2, witness
+
+
 def projection_oracle(D, member, x):
     ds = [int(D[x][h]) for h in member]
     m = min(ds)

@@ -8,6 +8,7 @@ from gromovlab.electrify import penetration_profile
 from gromovlab.embedding import qi_fit
 from gromovlab.generators import path
 from gromovlab.hyperbolicity import (
+    ExactBudget,
     four_point_delta,
     intrinsic_vs_extrinsic,
     quasiconvexity_constant,
@@ -63,6 +64,10 @@ def _delta_seed(value):
     four_point_delta(small("cycle-8"), mode="sampled", samples=10, seed=value)
 
 
+def _exact_delta_seed(value):
+    four_point_delta(small("cycle-8"), seed=value)
+
+
 def _penetration_seed(value):
     penetration_profile(electrified(1, 1, 12), L=1.5, samples=5, seed=value)
 
@@ -80,14 +85,37 @@ def _distortion_seed(value):
     intrinsic_vs_extrinsic(path(8), range(4), pair_budget=2, seed=value)
 
 
-SEEDS = [_delta_seed, _penetration_seed, _qi_fit_seed, _quasiconvexity_seed, _distortion_seed]
+SEEDS = [
+    _delta_seed,
+    _exact_delta_seed,
+    _penetration_seed,
+    _qi_fit_seed,
+    _quasiconvexity_seed,
+    _distortion_seed,
+]
 
 
 @pytest.mark.parametrize("call", SEEDS, ids=[call.__name__[1:] for call in SEEDS])
-@pytest.mark.parametrize("value,message", [(True, "integer"), (1.5, "integer"), (-1, ">= 0")])
+@pytest.mark.parametrize(
+    "value,message", [(True, "integer"), (1.5, "integer"), (-5.5, "integer"), (-1, ">= 0")]
+)
 def test_seeds_reject_booleans_floats_and_negatives(call, value, message):
     with pytest.raises(ValueError, match="seed") as info:
         call(value)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("budget", ["64M", None, 1 << 16])
+def test_exact_delta_takes_an_exact_budget(budget):
+    with pytest.raises(ValueError, match="ExactBudget"):
+        four_point_delta(small("cycle-8"), budget=budget)
+
+
+@pytest.mark.parametrize("field", ["matrix_bytes", "far_pairs"])
+@pytest.mark.parametrize("value,message", [(True, "integer"), (2.0, "integer"), (0, ">= 1")])
+def test_budget_caps_reject_booleans_floats_and_zero(field, value, message):
+    with pytest.raises(ValueError, match=field) as info:
+        ExactBudget(**{field: value})
     assert message in str(info.value)
 
 

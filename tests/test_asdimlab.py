@@ -249,6 +249,12 @@ def test_cover_loader_rejects_mistyped_blocks(blocks):
         cover_from_obj(path(10), {"R": 1, "blocks": blocks})
 
 
+def test_an_empty_cover_block_is_named():
+    # multiplicity_check accepts an empty block; a cover names it and refuses it
+    with pytest.raises(ValueError, match="cover block 1 is empty"):
+        cover_from_obj(path(4), {"R": 1, "blocks": [[0, 1, 2, 3], []]})
+
+
 def test_cover_serialization_is_deterministic():
     g = path(100)
     a = dump_json(cover_at_scale(g, 5, "interval").to_obj())

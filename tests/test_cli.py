@@ -268,10 +268,13 @@ def test_a_zero_brick_width_exits_2(tmp_path, capsys, command, extra):
 
 
 def test_size_guard_exits_3(tmp_path):
-    out = tmp_path / "p"
-    run(["gen", "path", "--n", "400", "--out", str(out)])
-    assert run(["delta", str(out) + ".graph.json", "--mode", "exact"]) == 3
-    assert run(["delta", str(out) + ".graph.json", "--mode", "sampled",
+    # farey_ball(9) is over the far-apart pair cap, path(4097) over the byte cap
+    farey, line = tmp_path / "f", tmp_path / "p"
+    assert run(["gen", "farey", "--radius", "9", "--out", str(farey)]) == 0
+    assert run(["gen", "path", "--n", "4097", "--out", str(line)]) == 0
+    assert run(["delta", str(farey) + ".graph.json", "--mode", "exact"]) == 3
+    assert run(["delta", str(line) + ".graph.json", "--mode", "exact"]) == 3
+    assert run(["delta", str(farey) + ".graph.json", "--mode", "sampled",
                 "--samples", "200", "--seed", "1"]) == 0
 
 

@@ -5,8 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from _corpus import quasitree_setup, ring_instance
-from gromovlab.electrify import electrify
+from _corpus import quasitree_setup
+from gromovlab.electrify import SubgraphFamily, electrify
 from gromovlab.embedding import (
     cone_exit_anchor,
     edge_lipschitz,
@@ -15,7 +15,8 @@ from gromovlab.embedding import (
     product_distance,
     qi_fit,
 )
-from gromovlab.graphs import dump_json
+from gromovlab.generators import tree_of_rings
+from gromovlab.graphs import MetricGraph, dump_json
 from gromovlab.projections import axiom_check
 from gromovlab.quasitree import build_quasitree
 
@@ -101,6 +102,17 @@ def test_qi_fit_report_is_pinned_byte_for_byte():
     assert digest == "0faf54bf685f2126ac07999f84eeeebf642a5a5d414358f8cff5f1b13dbe6c87"
 
 
+def test_the_qi_fit_payload_of_a_larger_ring_tree_is_pinned():
+    # exact delta now reaches the 469-vertex electrified graph; against the
+    # sampled diagnostic that it replaces, only eg_delta_mode changed
+    g, fam = tree_of_rings(3, 3, 12)
+    obj = qi_fit(electrify(g, fam), build_quasitree(g, fam, "auto"), basepoint=0).to_obj()
+    assert (obj["eg_delta"], obj["eg_delta_mode"], obj["peripheral_delta_mode"]) == (
+        0.5, "exact", "exact")
+    digest = hashlib.sha256(dump_json(obj).encode()).hexdigest()
+    assert digest == "3dcad8140e103895edad7dcae46fe3661a9d5e176cb28ecdb4a41e3d5919bf54"
+
+
 def test_edge_lipschitz_does_not_grow_with_ring_length():
     values = []
     for ring_len in (12, 24, 48):
@@ -159,12 +171,20 @@ def test_qi_fit_validation():
 
 
 def test_qi_fit_samples_delta_of_members_above_the_exact_guard():
-    # two rings of 320 vertices: exact delta refuses each member and the
-    # electrified graph, so both diagnostics fall back to sampled mode
-    g, fam = ring_instance(1, 2, 320)
+    # two 400-spoke wheels sharing a rim vertex: each member has 79 400
+    # far-apart pairs (rim vertices at distance 2) and each cone block about
+    # as many, over the pair cap, so both diagnostics fall back to sampled mode
+    rim0, rim1 = list(range(1, 401)), [400, *range(402, 801)]
+    edges = [
+        edge
+        for hub, rim in ((0, rim0), (401, rim1))
+        for i, r in enumerate(rim)
+        for edge in ((hub, r), (r, rim[i - 1]))
+    ]
+    g, fam = MetricGraph(801, edges), SubgraphFamily([[0, *rim0], [401, *rim1]])
     theta = axiom_check(g, fam).theta
     y = build_quasitree(g, fam, theta)
     rep = qi_fit(electrify(g, fam), y, basepoint=0, pair_budget=200)
     assert (rep.eg_delta_mode, rep.peripheral_delta_mode) == ("sampled", "sampled")
-    # a sampled value is a lower bound; the exact delta of C_320 is 80
-    assert 0 < rep.peripheral_delta_max <= 80.0
+    # a sampled value is a lower bound; a wheel has diameter 2, so delta <= 1
+    assert 0 < rep.peripheral_delta_max <= 1.0

@@ -338,6 +338,38 @@ def test_prefetch_checks_every_id_before_computing_a_row():
         assert g._dist_rows.keys() == {3} and g._dist_rows[3] is row
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pair_distances_read_the_oracle_distances(data):
+    g = data.draw(connected_graphs())
+    ids = st.integers(0, g.n - 1)
+    pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=40))
+    us, vs = [u for u, _ in pairs], [v for _, v in pairs]
+    as_array = data.draw(st.booleans())
+    got = g.pair_distances(*(np.array(x, dtype=np.int64) if as_array else x for x in (us, vs)))
+    D = orc.distance_matrix(g)
+    assert got.dtype == np.int32 and got.tolist() == [int(D[u, v]) for u, v in pairs]
+    assert g._dist_rows.keys() == set(us)  # rows of the sources only
+
+
+def test_pair_distances_check_every_id_before_computing_a_row():
+    g = grid(5, 5)
+    bad = [
+        ([0, 25], [1, 2]),
+        ([0, 1], [-1, 2]),
+        ([0, True], [1, 2]),
+        ([0, 1.0], [1, 2]),
+        (np.array([True, False]), np.array([1, 2])),
+        (np.array([0.0, 1.0]), np.array([1, 2])),
+        (np.array([[0, 1]]), np.array([[2, 3]])),
+        ([0, 1], [2, 3, 4]),
+    ]
+    for us, vs in bad:
+        with pytest.raises(ValueError):
+            g.pair_distances(us, vs)
+        assert not g._dist_rows
+
+
 def test_distance_matrix_of_a_grid_runs_five_passes_and_no_row_bfs(monkeypatch):
     passes = []
     real = graphs._bit_bfs

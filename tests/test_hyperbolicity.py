@@ -12,6 +12,7 @@ from gromovlab import hyperbolicity
 from gromovlab.generators import cycle, farey_ball, grid, path, tree
 from gromovlab.graphs import MetricGraph, SizeLimitError, biconnected_blocks
 from gromovlab.hyperbolicity import (
+    ExactBudget,
     _far_apart_pairs,
     four_point_delta,
     intrinsic_vs_extrinsic,
@@ -79,10 +80,19 @@ def test_tiny_graphs_have_delta_zero_without_scanning():
 
 
 def test_exact_mode_refuses_oversized_graphs():
-    with pytest.raises(SizeLimitError, match="sampled"):
-        four_point_delta(path(301), mode="exact")
-    # guard is adjustable
-    assert four_point_delta(path(301), mode="exact", size_guard=400).delta == 0.0
+    # farey_ball(9): one block with 178 022 far-apart pairs, over the pair cap
+    with pytest.raises(SizeLimitError, match="far-apart pairs.*sampled"):
+        four_point_delta(farey_ball(9), mode="exact")
+    # a 4097 x 4097 int32 matrix is over the byte cap, refused before allocation
+    with pytest.raises(SizeLimitError, match="distance matrix.*sampled"):
+        four_point_delta(path(4097), mode="exact")
+    # the budget is adjustable: K_{2,400} has 1 + C(400, 2) far-apart pairs,
+    # and its scan stops at the first pair, which reaches the diameter
+    k2 = MetricGraph(402, [(a, x) for a in (0, 1) for x in range(2, 402)])
+    with pytest.raises(SizeLimitError, match="79801"):
+        four_point_delta(k2)
+    rep = four_point_delta(k2, budget=ExactBudget(far_pairs=1 << 17))
+    assert (rep.delta, rep.witness) == (1.0, (0, 1, 2, 3))
 
 
 def test_sampled_mode_is_reproducible_and_below_exact():
@@ -109,6 +119,16 @@ def test_sampled_report_is_pinned_on_a_large_ring_tree():
         "witness": [215, 224, 81, 88],
         "n_vertices": 430,
     }
+
+
+@settings(max_examples=30, deadline=None)
+@given(connected_graphs(), st.integers(0, 2**32 - 1), st.integers(1000, 2100))
+@example(MetricGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), 0, 2048)
+def test_sampled_chunks_match_the_per_quadruple_loop(g, seed, samples):
+    # the counts cross the 1024-quadruple chunks; a tie keeps the earlier witness
+    rep = four_point_delta(g, mode="sampled", samples=samples, seed=seed)
+    assert (rep.delta, rep.witness) == orc.sampled_delta_loop(
+        orc.distance_matrix(g), samples, seed)
 
 
 def test_sampled_mode_validates_its_arguments():
@@ -177,6 +197,19 @@ def test_exact_delta_and_witness_match_bruteforce_on_random_graphs(g):
         for b in biconnected_blocks(g)
     ]
     assert rep.delta == max(per_block)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_connected_graphs())
+def test_a_witness_scan_of_one_row_per_chunk_finds_the_first_quadruple(g):
+    D = orc.distance_matrix(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hyperbolicity, "_WITNESS_CELLS", 1)
+        rep = four_point_delta(g)
+    assert rep.witness == next(
+        q for q in itertools.combinations(range(g.n), 4)
+        if orc.quadruple_defect(D, q) == 2 * rep.delta
+    )
 
 
 @settings(max_examples=150, deadline=None)

@@ -234,7 +234,10 @@ def test_the_audits_and_the_farey_cover_never_import_numpy_ma():
     script = """
 import sys
 from gromovlab.asdimlab import cover_at_scale
+from gromovlab.electrify import electrify
+from gromovlab.embedding import qi_fit
 from gromovlab.generators import farey_ball, tree_of_rings
+from gromovlab.hyperbolicity import four_point_delta
 from gromovlab.projections import axiom_check
 from gromovlab.quasitree import build_quasitree
 
@@ -242,6 +245,10 @@ cover_at_scale(farey_ball(9), 4, "net_voronoi")
 g, fam = tree_of_rings(2, 3, 12)
 axiom_check(g, fam)
 build_quasitree(g, fam, "auto")
+g, fam = tree_of_rings(3, 3, 12)
+four_point_delta(g, mode="sampled", samples=2000, seed=1)
+four_point_delta(g)
+qi_fit(electrify(g, fam), build_quasitree(g, fam, "auto"), basepoint=0)
 assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
 """
     src = str(Path(gromovlab.__file__).resolve().parents[1])

@@ -22,7 +22,6 @@ from .generators import (
 )
 from .hyperbolicity import (
     DeltaReport,
-    ExactBudget,
     four_point_delta,
     intrinsic_vs_extrinsic,
     quasiconvexity_constant,
@@ -76,7 +75,6 @@ __all__ = [
     "hierarchy_tower",
     "farey_ball",
     "DeltaReport",
-    "ExactBudget",
     "four_point_delta",
     "quasiconvexity_constant",
     "intrinsic_vs_extrinsic",

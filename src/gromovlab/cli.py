@@ -1,7 +1,8 @@
 """Command line front end wiring every module together.
 
-Exit codes: 0 success, 2 invalid input, 3 refused as over the exact-mode
-cost budget (``hyperbolicity.ExactBudget``), 64 usage error.
+Exit codes: 0 success, 2 invalid input, 3 refused as over one of exact
+mode's caps (vertices, far-apart pairs per block, witness work; see
+``hyperbolicity``), 64 usage error.
 Every JSON artifact is wrapped as {"manifest": ..., "data": ...}; the data
 payload is deterministic, wall time lives only in the manifest.  CSV profiles
 get their manifest in a sibling .profile.json.

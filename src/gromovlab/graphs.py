@@ -71,9 +71,9 @@ def _check_vertex(n: int, v) -> int:
 
 
 def _check_ids(n: int, ids) -> np.ndarray:
-    """``ids`` as a 1-D array of vertex ids in 0..n-1.  An array must have an
-    integer dtype (booleans are refused), and any other sequence is checked
-    id by id as ``_check_vertex`` does; an unknown id is refused."""
+    """``ids`` as a 1-D intp array of vertex ids in 0..n-1.  An array must
+    have an integer dtype (booleans are refused), and any other sequence is
+    checked id by id as ``_check_vertex`` does; an unknown id is refused."""
     if isinstance(ids, np.ndarray):
         if ids.ndim != 1 or ids.dtype.kind not in "iu":
             raise ValueError(f"vertex ids must be a 1-D integer array, got {ids.dtype} {ids.shape}")
@@ -82,7 +82,7 @@ def _check_ids(n: int, ids) -> np.ndarray:
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         bad = ids[(ids < 0) | (ids >= n)][0]
         raise ValueError(f"unknown vertex id {bad} (graph has {n} vertices)")
-    return ids
+    return ids.astype(np.intp, copy=False)
 
 
 def _bfs_levels(adj, seeds, radius=None, within=None):

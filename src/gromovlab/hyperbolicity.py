@@ -8,7 +8,7 @@ w, x, y, z form the three pairwise distance sums
 the defect of the quadruple is (largest sum - middle sum) and the constant is
 half the maximal defect.  On unit-edge graphs this is always a half-integer.
 
-Exact mode (within a cost budget, ``ExactBudget``) rests on four facts:
+Exact mode (within the caps below) rests on four facts:
 the constant of a graph is the maximum over its biconnected blocks, each of
 which is isometric in it; some quadruple of maximal defect has both pairs
 of its largest sum far-apart, so that no neighbour of either end is farther
@@ -40,22 +40,20 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class ExactBudget:
-    """What exact mode may spend before it refuses a graph: the bytes of its
-    n x n int32 distance matrix, checked before the matrix is allocated, and
-    the far-apart pairs of each block, checked before that block's tile scan
-    (whose work grows with their square).  The defaults admit every graph of
-    at most 362 vertices (C(362, 2) < 2^16 pairs), farey_ball(8) and
-    tree_of_rings(4, 3, 16), and refuse farey_ball(9) (178 022 pairs)."""
-
-    matrix_bytes: int = 64 << 20
-    far_pairs: int = 1 << 16
-
-    def __post_init__(self):
-        check_int("matrix_bytes", self.matrix_bytes, 1)
-        check_int("far_pairs", self.far_pairs, 1)
-
+# exact mode refuses, with a SizeLimitError, a graph over one of these caps,
+# each checked before the work it bounds.  At 4096 vertices the int32
+# distance matrix takes 64 MiB, and with the scans' temporaries the traced
+# peak is about three times that (194 MiB on grid(64, 64)).  The tile scan's
+# work grows with the square of a block's far-apart pairs.  The witness scan
+# charges each (i, j) it visits _WITNESS_VISIT cells for its fixed cost plus
+# the square of its candidate count, a bound on the cells it scores.  On n
+# vertices the total is at most sum_j j (_WITNESS_VISIT + (n - 1 - j)^2),
+# within the cap for every n <= 300; at about 20 ns a cell, the cap is some
+# 20 s of scanning.
+_MAX_VERTICES = 4096
+_FAR_PAIRS = 1 << 16
+_WITNESS_WORK = 1 << 30
+_WITNESS_VISIT = 1 << 12
 
 # sampled mode draws its quadruples this many at a time and scores each chunk
 # as arrays, so the draws take fixed memory whatever the sample count
@@ -103,10 +101,10 @@ def _far_apart_pairs(D: np.ndarray, nbrs: list) -> tuple:
     return np.nonzero(np.triu((M <= D) & (M.T <= D), 1))
 
 
-def _max_defect(D: np.ndarray, nbrs: list, best: int, max_pairs: int) -> int:
+def _max_defect(D: np.ndarray, nbrs: list, best: int) -> int:
     """Largest quadruple defect of the block with distance matrix ``D`` and
     block adjacency lists ``nbrs`` if it exceeds ``best``, else ``best``.
-    A block with more than ``max_pairs`` far-apart pairs is refused with a
+    A block with more than ``_FAR_PAIRS`` far-apart pairs is refused with a
     SizeLimitError before its scan starts.
 
     Some quadruple of maximal defect has both pairs of its largest sum
@@ -126,9 +124,9 @@ def _max_defect(D: np.ndarray, nbrs: list, best: int, max_pairs: int) -> int:
         return best
     D = D.astype(np.min_scalar_type(-2 * diam - 1))  # holds sums and scores, ±2 diam
     xs, ys = _far_apart_pairs(D, nbrs)
-    if len(xs) > max_pairs:
+    if len(xs) > _FAR_PAIRS:
         raise SizeLimitError(
-            f"exact mode scans at most {max_pairs} far-apart pairs per block, a block of "
+            f"exact mode scans at most {_FAR_PAIRS} far-apart pairs per block, a block of "
             f"{len(D)} vertices has {len(xs)}; use sampled mode"
         )
     d = D[xs, ys]
@@ -173,7 +171,9 @@ def _first_witness(D: np.ndarray, blocks: list, t: int) -> tuple:
     And only vertices at distance >= t/2 from both i and j can complete it.
     For each (i, j) the (k, l) cells of those vertices are scored in chunks
     of whole rows, at most ``_WITNESS_CELLS`` cells each where a row allows,
-    taken in order, so the scan's scratch memory is bounded.
+    taken in order, so the scan's scratch memory is bounded.  Its work is
+    charged against ``_WITNESS_WORK`` before each (i, j), and a graph that
+    would exceed it is refused with a SizeLimitError.
     """
     if t == 0:
         return (0, 1, 2, 3)
@@ -186,9 +186,16 @@ def _first_witness(D: np.ndarray, blocks: list, t: int) -> tuple:
     if len(ids) < D.shape[0]:
         D = D[np.ix_(ids, ids)]
     far = D >= (t + 1) // 2  # 2 d >= t
+    work = 0
     for i in range(len(ids) - 3):
         for j in np.flatnonzero(far[i, i + 1:]) + i + 1:
             c = np.flatnonzero(far[i, j + 1:] & far[j, j + 1:]) + j + 1
+            work += _WITNESS_VISIT + len(c) * len(c)
+            if work > _WITNESS_WORK:
+                raise SizeLimitError(
+                    f"exact mode's witness scan is capped at {_WITNESS_WORK} cells, and the "
+                    f"{len(ids)} candidate vertices of this graph need more; use sampled mode"
+                )
             if len(c) < 2:
                 continue
             dic, djc = D[i, c], D[j, c]
@@ -212,12 +219,11 @@ def four_point_delta(
     mode: str = "exact",
     samples: int | None = None,
     seed: int | None = None,
-    budget: ExactBudget = ExactBudget(),
 ) -> DeltaReport:
     """Four-point hyperbolicity constant, exact or sampled.
 
-    Exact mode refuses, with a SizeLimitError, a graph whose distance matrix
-    or whose far-apart pairs of some block exceed the ``budget``.  It takes
+    Exact mode refuses, with a SizeLimitError, a graph over one of the caps
+    on its vertices, its far-apart pairs per block and its witness work.  It takes
     the maximum defect over the biconnected blocks, largest first, each
     scanned by ``_max_defect`` over the far-apart pairs of the block's own
     adjacency, in tiles, with its pair and diameter exits.  The witness is
@@ -231,13 +237,10 @@ def four_point_delta(
     if seed is not None:
         seed = check_int("seed", seed, 0)
     if mode == "exact":
-        if not isinstance(budget, ExactBudget):
-            raise ValueError(f"budget must be an ExactBudget, got {budget!r:.60}")
-        nbytes = 4 * g.n * g.n
-        if nbytes > budget.matrix_bytes:
+        if g.n > _MAX_VERTICES:
             raise SizeLimitError(
-                f"exact mode needs the {g.n} x {g.n} distance matrix ({nbytes} bytes) "
-                f"within {budget.matrix_bytes} bytes; use sampled mode"
+                f"exact mode takes at most {_MAX_VERTICES} vertices (it holds their "
+                f"distance matrix), the graph has {g.n}; use sampled mode"
             )
         if g.n < 4:
             return DeltaReport(0.0, "exact", None, None, None, g.n)
@@ -250,7 +253,7 @@ def four_point_delta(
             index = {v: i for i, v in enumerate(b)}
             nbrs = [[index[w] for w in g.neighbors(v) if w in index] for v in b]
             block = D if len(b) == g.n else D[np.ix_(b, b)]
-            best = _max_defect(block, nbrs, best, budget.far_pairs)
+            best = _max_defect(block, nbrs, best)
         witness = _first_witness(D, blocks, best)
         return DeltaReport(best / 2.0, "exact", None, None, witness, g.n)
 

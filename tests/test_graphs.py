@@ -345,8 +345,8 @@ def test_pair_distances_read_the_oracle_distances(data):
     ids = st.integers(0, g.n - 1)
     pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=40))
     us, vs = [u for u, _ in pairs], [v for _, v in pairs]
-    as_array = data.draw(st.booleans())
-    got = g.pair_distances(*(np.array(x, dtype=np.int64) if as_array else x for x in (us, vs)))
+    dtype = data.draw(st.sampled_from([None, np.int64, np.uint64, np.int32]))
+    got = g.pair_distances(*(x if dtype is None else np.array(x, dtype=dtype) for x in (us, vs)))
     D = orc.distance_matrix(g)
     assert got.dtype == np.int32 and got.tolist() == [int(D[u, v]) for u, v in pairs]
     assert g._dist_rows.keys() == set(us)  # rows of the sources only

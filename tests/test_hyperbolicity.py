@@ -12,7 +12,6 @@ from gromovlab import hyperbolicity
 from gromovlab.generators import cycle, farey_ball, grid, path, tree
 from gromovlab.graphs import MetricGraph, SizeLimitError, biconnected_blocks
 from gromovlab.hyperbolicity import (
-    ExactBudget,
     _far_apart_pairs,
     four_point_delta,
     intrinsic_vs_extrinsic,
@@ -79,20 +78,58 @@ def test_tiny_graphs_have_delta_zero_without_scanning():
     assert rep.witness is None
 
 
-def test_exact_mode_refuses_oversized_graphs():
+def test_exact_mode_refuses_oversized_graphs(monkeypatch):
     # farey_ball(9): one block with 178 022 far-apart pairs, over the pair cap
     with pytest.raises(SizeLimitError, match="far-apart pairs.*sampled"):
         four_point_delta(farey_ball(9), mode="exact")
-    # a 4097 x 4097 int32 matrix is over the byte cap, refused before allocation
-    with pytest.raises(SizeLimitError, match="distance matrix.*sampled"):
-        four_point_delta(path(4097), mode="exact")
-    # the budget is adjustable: K_{2,400} has 1 + C(400, 2) far-apart pairs,
-    # and its scan stops at the first pair, which reaches the diameter
+    # 4097 vertices are over the vertex cap, refused before the matrix exists
+    long = path(4097)
+    with pytest.raises(SizeLimitError, match="4096 vertices.*sampled"):
+        four_point_delta(long, mode="exact")
+    assert long._dist_matrix is None
+    # the pair cap is one constant: K_{2,400} has 1 + C(400, 2) far-apart
+    # pairs, and its scan stops at the first pair, which reaches the diameter
     k2 = MetricGraph(402, [(a, x) for a in (0, 1) for x in range(2, 402)])
     with pytest.raises(SizeLimitError, match="79801"):
         four_point_delta(k2)
-    rep = four_point_delta(k2, budget=ExactBudget(far_pairs=1 << 17))
+    monkeypatch.setattr(hyperbolicity, "_FAR_PAIRS", 1 << 17)
+    rep = four_point_delta(k2)
     assert (rep.delta, rep.witness) == (1.0, (0, 1, 2, 3))
+
+
+def _ladder_with_a_ring(rungs, ring):
+    """A 2 x ``rungs`` ladder on the low ids, and a ``ring``-cycle on the high
+    ids hung off its last vertex by a bridge: delta comes from the ring, but
+    the ladder is as long as its defect, so every ladder vertex is a witness
+    candidate and the first witness needs three ring vertices."""
+    top, ring0 = rungs, 2 * rungs
+    edges = [(v, v + 1) for v in range(rungs - 1)]
+    edges += [(top + v, top + v + 1) for v in range(rungs - 1)]
+    edges += [(v, top + v) for v in range(rungs)] + [(ring0 - 1, ring0)]
+    edges += [(ring0 + v, ring0 + (v + 1) % ring) for v in range(ring)]
+    return MetricGraph(ring0 + ring, edges)
+
+
+def test_the_witness_scan_is_refused_past_its_work_cap(monkeypatch):
+    g = _ladder_with_a_ring(50, 40)
+    # vertex 0 has gate 100 on the ring, and 100, 110, 120, 130 form its square
+    assert four_point_delta(g).witness == (0, 110, 120, 130)
+    monkeypatch.setattr(hyperbolicity, "_WITNESS_WORK", 10**5)
+    with pytest.raises(SizeLimitError, match="witness scan.*sampled"):
+        four_point_delta(g)
+
+
+def test_the_witness_cap_admits_every_graph_of_at_most_300_vertices(monkeypatch):
+    def bound(n):
+        return sum(j * (hyperbolicity._WITNESS_VISIT + (n - 1 - j) ** 2) for j in range(n))
+
+    assert bound(300) <= hyperbolicity._WITNESS_WORK
+    # the bound holds where the scan is longest: K_40 less two disjoint edges
+    # among its last four vertices, which alone have the maximal defect 2
+    miss = {(36, 37), (38, 39)}
+    g = MetricGraph(40, [e for e in itertools.combinations(range(40), 2) if e not in miss])
+    monkeypatch.setattr(hyperbolicity, "_WITNESS_WORK", bound(40))
+    assert four_point_delta(g).witness == (36, 37, 38, 39)
 
 
 def test_sampled_mode_is_reproducible_and_below_exact():

@@ -4,7 +4,7 @@ empirical probe of the bounded-penetration behavior of quasi-geodesics."""
 from __future__ import annotations
 
 import heapq
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -280,7 +280,8 @@ class PenetrationReport:
     records: list = field(default_factory=list)
 
     def to_obj(self) -> dict:
-        return asdict(self)
+        # shallow: the records are plain JSON values, so nothing needs a copy
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _astar_path(nbrs, weights: list, hops: list, source: int, target: int) -> list:

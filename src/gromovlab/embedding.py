@@ -11,7 +11,7 @@ graph metrics.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -118,11 +118,15 @@ class EmbeddingReport:
     quasi_tree_flags: dict
 
     def to_obj(self) -> dict:
-        return asdict(self)
+        # shallow: the records are plain int lists, so nothing needs a copy
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _delta_diagnostic(g: MetricGraph, seed: int) -> DeltaReport:
-    """δ of a side graph: exact where exact mode accepts it, sampled where it refuses."""
+    """δ of a side graph: exact where exact mode accepts it, sampled (4000
+    quadruples from ``seed``) where it refuses.  Exact mode's caps apply per
+    biconnected block, so a tree of small pieces, such as an electrified
+    ring tree, is exact at any size."""
     try:
         return four_point_delta(g)
     except SizeLimitError:
@@ -176,7 +180,12 @@ def qi_fit(
 
     diag_seed = 0 if seed is None else seed
     eg_report = _delta_diagnostic(eg.graph, diag_seed)
-    peripheral = [_delta_diagnostic(eg.intrinsic(c)[0], diag_seed) for c in range(len(eg.family))]
+    peripheral = {}  # one diagnostic per distinct member graph
+    for c in range(len(eg.family)):
+        sub = eg.intrinsic(c)[0]
+        if (sub.n, sub.edges) not in peripheral:
+            peripheral[sub.n, sub.edges] = _delta_diagnostic(sub, diag_seed)
+    peripheral = list(peripheral.values())
     pmax = max((rep.delta for rep in peripheral), default=0.0)
     pmode = "sampled" if any(rep.mode == "sampled" for rep in peripheral) else "exact"
     flags = {

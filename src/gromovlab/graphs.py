@@ -211,21 +211,13 @@ class MetricGraph:
             self._dist_rows[u] = row
         return row
 
-    def _row_blocks(self, sources):
-        """(batch, (k, n) block) for the sorted distinct ``sources``, one
-        ``_bit_bfs`` pass of up to 64 sources per block."""
-        every = np.arange(self._n)
-        for a in range(0, len(sources), 64):
-            batch = sources[a:a + 64]
-            yield batch, _bit_bfs(self, batch, every)
-
     def prefetch_rows(self, sources) -> None:
         """Cache the distance rows of ``sources``.  The rows not yet cached
         come from ``_bit_bfs`` passes of 64 sources each; every pass leaves
         a read-only (k, n) block, and its rows are cached as views of it, so
         nothing is copied.  Ids are all checked before any row is computed."""
         todo = sorted(set(_check_ids(self._n, sources).tolist()) - self._dist_rows.keys())
-        for batch, block in self._row_blocks(todo):
+        for batch, block in _row_blocks(_csr(self), todo):
             block.setflags(write=False)
             self._dist_rows.update(zip(batch, block))
 
@@ -254,7 +246,7 @@ class MetricGraph:
         if self._dist_matrix is None:
             mat = np.empty((self._n, self._n), dtype=np.int32)
             todo = sorted(set(range(self._n)) - self._dist_rows.keys())
-            for batch, block in self._row_blocks(todo):
+            for batch, block in _row_blocks(_csr(self), todo):
                 mat[batch] = block
                 self._dist_rows.update((u, mat[u]) for u in batch)
             for u in range(self._n):  # bench/tracer.py counts row reads here
@@ -380,7 +372,17 @@ def _csr(g: MetricGraph):
     return g._csr
 
 
-def _bit_bfs(g: MetricGraph, sources, targets, cap=None) -> np.ndarray:
+def _row_blocks(csr, sources):
+    """(batch, (k, n) block) for the sorted distinct ``sources`` of the
+    graph with adjacency ``csr``, one ``_bit_bfs`` pass of up to 64 sources
+    per block."""
+    every = np.arange(len(csr[1]))
+    for a in range(0, len(sources), 64):
+        batch = sources[a:a + 64]
+        yield batch, _bit_bfs(csr, batch, every)
+
+
+def _bit_bfs(csr, sources, targets, cap=None) -> np.ndarray:
     """(k, m) distances from k <= 64 distinct ``sources`` to m ``targets``,
     from one bit-parallel BFS (Akiba, Iwata and Yoshida, SIGMOD 2013).
 
@@ -392,16 +394,18 @@ def _bit_bfs(g: MetricGraph, sources, targets, cap=None) -> np.ndarray:
     of levels at which bit i was missing, kept in bit-sliced counters (word j
     holds bit j of every count), so a pass holds one word per vertex and
     log2(levels + 2) words per target.  It serves set diameters and the
-    row batches of ``MetricGraph.prefetch_rows``.  It trusts its inputs, as
-    ``_bfs_levels`` does.
+    row batches of ``MetricGraph.prefetch_rows`` and of block matrices.  It
+    runs on an adjacency ``csr`` as ``_csr`` builds it, in which every
+    vertex has a neighbour, and trusts its inputs, as ``_bfs_levels`` does.
     """
-    nbrs, starts = _csr(g)
+    nbrs, starts = csr
+    n = len(starts)
     targets = np.asarray(targets, dtype=np.intp)
     k = len(sources)
-    reach = np.zeros(g.n, dtype=np.uint64)
+    reach = np.zeros(n, dtype=np.uint64)
     reach[sources] = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
     full = np.bitwise_or.reduce(reach[sources])
-    last = g.n if cap is None else cap + 1  # no distance reaches n
+    last = n if cap is None else cap + 1  # no distance reaches n
     counts = []
     d = 0
     while True:
@@ -455,7 +459,7 @@ def set_diameter(g: MetricGraph, vertices, cap=None) -> int:
     closed = np.zeros(m, dtype=bool)
     picks = np.linspace(0, m - 1, min(m, 64)).astype(np.intp)
     while True:
-        d = _bit_bfs(g, arr[picks], arr, cap)
+        d = _bit_bfs(_csr(g), arr[picks], arr, cap)
         e = d.max(axis=1, keepdims=True)
         if cap is not None and e.max() > cap:
             return int(e.max())  # at most the diameter: a distance or cap + 2
@@ -474,10 +478,16 @@ def set_diameter(g: MetricGraph, vertices, cap=None) -> int:
             picks = np.concatenate([wide, rest[np.argsort(lo[rest], kind="stable")[:32]]])
 
 
-def biconnected_blocks(g: MetricGraph) -> list:
-    """Vertex sets of the biconnected blocks of ``g`` (maximal subgraphs
-    without a cut vertex; a bridge is a block of two), each sorted, in sorted
-    order.  A one-vertex graph has no block.
+def block_tree(g: MetricGraph) -> tuple:
+    """The biconnected blocks of ``g`` (maximal subgraphs without a cut
+    vertex; a bridge is a block of two) as a tree hanging from vertex 0:
+    (blocks, spans, order).  A one-vertex graph has no block.
+
+    ``blocks`` lists them children first, each with its top vertex (the one
+    nearest vertex 0: the cut vertex it hangs from, or 0 itself) first.
+    ``order`` lists the vertices by discovery time, and for (lo, hi) =
+    ``spans[i]`` the vertices below the top of block i, its other vertices
+    and all that hangs from them, are ``order[lo:hi]``.
 
     Iterative Tarjan: a depth-first walk over ``_adj`` keeps each vertex's
     discovery time and low point, and a child ``v`` of ``u`` with
@@ -488,16 +498,16 @@ def biconnected_blocks(g: MetricGraph) -> list:
     disc = [-1] * g.n
     low = [0] * g.n
     disc[0] = 0
-    count = 1
+    order = [0]
     stack = [0]
     walk = [(0, iter(adj[0]))]
-    blocks = []
+    blocks, spans = [], []
     while walk:
         v, nbrs = walk[-1]
         for w in nbrs:
             if disc[w] < 0:
-                disc[w] = low[w] = count
-                count += 1
+                disc[w] = low[w] = len(order)
+                order.append(w)
                 stack.append(w)
                 walk.append((w, iter(adj[w])))
                 break
@@ -511,8 +521,15 @@ def biconnected_blocks(g: MetricGraph) -> list:
                     block = [u]
                     while block[-1] != v:
                         block.append(stack.pop())
-                    blocks.append(sorted(block))
-    return sorted(blocks)
+                    blocks.append(block)
+                    spans.append((disc[v], len(order)))
+    return blocks, spans, order
+
+
+def biconnected_blocks(g: MetricGraph) -> list:
+    """Vertex sets of the biconnected blocks of ``g``, each sorted, in sorted
+    order (see ``block_tree``)."""
+    return sorted(sorted(b) for b in block_tree(g)[0])
 
 
 def cartesian_product(gx: MetricGraph, gy: MetricGraph) -> MetricGraph:

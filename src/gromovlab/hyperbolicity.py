@@ -14,40 +14,54 @@ which is isometric in it; some quadruple of maximal defect has both pairs
 of its largest sum far-apart, so that no neighbour of either end is farther
 from the other end (Cohen, Coudert and Lancin); a defect is at most twice
 the smallest of the six pairwise distances; and a defect is at most the
-diameter.  The blocks are scanned largest first.  Within a block the
-far-apart pairs, taken by decreasing distance, are scored against each
-other in fixed-size tiles; the scan stops at the first pair too close to
-beat the best defect so far, or once that reaches the block's diameter.  A
-second scan of the whole graph, over the vertices that can belong to the
-first attaining quadruple, then reports the lexicographically smallest
-quadruple attaining the maximum.  Sampled mode draws quadruples from a
-seeded generator and scores them a chunk at a time.
+diameter.  It works block by block and never holds the whole graph's
+distance matrix unless the graph is one block.  Each block of at least four
+vertices is labelled by its fiber minima (below), and each distinct
+labelled block gets its own distance matrix and one scan, largest first:
+its far-apart pairs, taken by decreasing distance, are scored against each
+other in fixed-size tiles, and the scan stops at the first pair too close
+to beat the best defect so far, or once that reaches the block's diameter.
+A repeated block, such as every ring of a ring tree, costs no more.  A
+second scan then reports the lexicographically smallest quadruple
+attaining the maximum: it is made of the fiber minima (the least vertex of
+the graph whose nearest vertex in the block is a given vertex) of four
+vertices of one block, so each block whose diameter allows it is scanned
+in its own labels, and the least quadruple over the blocks is kept.
+Sampled mode draws quadruples from a seeded generator and scores them a
+chunk at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
 from .graphs import (
     MetricGraph,
     SizeLimitError,
-    biconnected_blocks,
+    _csr,
+    _row_blocks,
+    block_tree,
     check_int,
     multi_source_distances,
 )
 
 
 # exact mode refuses, with a SizeLimitError, a graph over one of these caps,
-# each checked before the work it bounds.  At 4096 vertices the int32
-# distance matrix takes 64 MiB, and with the scans' temporaries the traced
-# peak is about three times that (194 MiB on grid(64, 64)).  The tile scan's
-# work grows with the square of a block's far-apart pairs.  The witness scan
-# charges each (i, j) it visits _WITNESS_VISIT cells for its fixed cost plus
-# the square of its candidate count, a bound on the cells it scores.  On n
-# vertices the total is at most sum_j j (_WITNESS_VISIT + (n - 1 - j)^2),
+# each checked before the work it bounds.  The matrices of its distinct
+# blocks, held together, have at most _MAX_VERTICES^2 cells in all, so a
+# block has at most _MAX_VERTICES vertices, and a graph of many small
+# blocks, such as a ring tree of any size or its electrification, passes.  At
+# 4096^2 cells the int32 matrices take 64 MiB, and the scans' scratch adds
+# about half as much (97.5 MiB traced peak on grid(64, 64)).  The tile
+# scan's work grows with the square of a block's far-apart pairs.  The
+# witness scan charges each (i, j) it visits _WITNESS_VISIT cells for its
+# fixed cost plus the square of its candidate count, a bound on the cells
+# it scores.  On a block of n vertices the total is at most
+# sum_j j (_WITNESS_VISIT + (n - 1 - j)^2), and blocks glued at cut vertices
+# total at most the bound of one block of all their vertices, which is
 # within the cap for every n <= 300; at about 20 ns a cell, the cap is some
 # 20 s of scanning.
 _MAX_VERTICES = 4096
@@ -90,20 +104,49 @@ _TILE_COLS = 1024
 _TILE_ROWS = 256
 # the witness scan scores at most this many (k, l) cells at a time
 _WITNESS_CELLS = 1 << 15
+# the far-apart mask gathers about this many cells of neighbour rows at a time
+_MASK_CELLS = 1 << 16
 
 
-def _far_apart_pairs(D: np.ndarray, nbrs: list) -> tuple:
+def _far_apart_pairs(D: np.ndarray, csr) -> tuple:
     """Far-apart pairs x < y of the graph with distance matrix ``D`` and
-    adjacency lists ``nbrs``: no neighbour of x is farther from y, and no
-    neighbour of y is farther from x.  Returns the arrays of x and of y.
+    adjacency ``csr``: no neighbour of x is farther from y, and no
+    neighbour of y is farther from x.  Returns the arrays of x and of y, or
+    refuses with a SizeLimitError more than ``_FAR_PAIRS`` of them.
+
+    The boolean A[x, y] = (no neighbour of x is farther from y) is built
+    from bands of rows whose neighbours' rows hold about ``_MASK_CELLS``
+    cells, then made A & A.T a band at a time, so that besides A the scratch
+    memory is bounded.
     """
-    M = np.array([D[list(nb)].max(axis=0) for nb in nbrs])  # M[x, y]: max over nbrs of x
-    return np.nonzero(np.triu((M <= D) & (M.T <= D), 1))
+    nbrs, starts = csr
+    n = len(D)
+    A = np.empty((n, n), dtype=bool)
+    step = max(1, _MASK_CELLS // len(nbrs))  # rows whose neighbours' rows hold about that many
+    for r in range(0, n, step):
+        rows = slice(r, r + step)
+        lo, hi = starts[r], starts[r + step] if r + step < n else len(nbrs)
+        # row x of M: the largest distance from a neighbour of x
+        M = np.maximum.reduceat(D[nbrs[lo:hi]], starts[rows] - lo)
+        np.less_equal(M, D[rows], out=A[rows])
+    for r in range(0, n, step):
+        # the band's overlap with its own transpose is copied first by
+        # numpy, and a cell already made symmetric stays so
+        A[r:r + step] &= A[:, r:r + step].T
+    pairs = np.count_nonzero(A) // 2  # the diagonal is all False
+    if pairs > _FAR_PAIRS:
+        raise SizeLimitError(
+            f"exact mode scans at most {_FAR_PAIRS} far-apart pairs per block, a block of "
+            f"{n} vertices has {pairs}; use sampled mode"
+        )
+    xs, ys = np.nonzero(A)
+    keep = xs < ys
+    return xs[keep], ys[keep]
 
 
-def _max_defect(D: np.ndarray, nbrs: list, best: int) -> int:
+def _max_defect(D: np.ndarray, csr, best: int) -> int:
     """Largest quadruple defect of the block with distance matrix ``D`` and
-    block adjacency lists ``nbrs`` if it exceeds ``best``, else ``best``.
+    block adjacency ``csr`` if it exceeds ``best``, else ``best``.
     A block with more than ``_FAR_PAIRS`` far-apart pairs is refused with a
     SizeLimitError before its scan starts.
 
@@ -122,13 +165,8 @@ def _max_defect(D: np.ndarray, nbrs: list, best: int) -> int:
     diam = int(D.max())
     if diam <= best:
         return best
+    xs, ys = _far_apart_pairs(D, csr)
     D = D.astype(np.min_scalar_type(-2 * diam - 1))  # holds sums and scores, ±2 diam
-    xs, ys = _far_apart_pairs(D, nbrs)
-    if len(xs) > _FAR_PAIRS:
-        raise SizeLimitError(
-            f"exact mode scans at most {_FAR_PAIRS} far-apart pairs per block, a block of "
-            f"{len(D)} vertices has {len(xs)}; use sampled mode"
-        )
     d = D[xs, ys]
     order = np.argsort(-d, kind="stable")
     xs, ys, d = xs[order], ys[order], d[order]
@@ -160,41 +198,102 @@ def _max_defect(D: np.ndarray, nbrs: list, best: int) -> int:
     return best
 
 
-def _first_witness(D: np.ndarray, blocks: list, t: int) -> tuple:
-    """First quadruple i<j<k<l, in lexicographic order, whose defect is ``t``,
-    the maximum.
+def _blocks(g: MetricGraph) -> list:
+    """(fmins, edges) for each biconnected block of at least 4 vertices.
 
-    Two filters keep every tie.  A quadruple whose four gates (nearest
-    vertices) in a block are distinct has the defect of its gates, and one
-    with a positive defect has such a block; so the first quadruple uses only
-    the smallest vertex of each gate's fiber, in blocks of diameter >= t.
-    And only vertices at distance >= t/2 from both i and j can complete it.
-    For each (i, j) the (k, l) cells of those vertices are scored in chunks
-    of whole rows, at most ``_WITNESS_CELLS`` cells each where a row allows,
-    taken in order, so the scan's scratch memory is bounded.  Its work is
-    charged against ``_WITNESS_WORK`` before each (i, j), and a graph that
-    would exceed it is refused with a SizeLimitError.
+    The block's vertices are labelled 0..k-1 by increasing fiber minimum:
+    the least vertex of the graph whose gate (nearest vertex) in the block
+    is that vertex.  ``fmins`` lists those minima in label order, and
+    ``edges`` the block's edges in its labels, as a sorted tuple of pairs
+    lo < hi; two blocks with equal labelled edges are isometric, and a
+    graph of one block keeps its own ids and edges.
+
+    The fibers come from the block tree of ``block_tree``: each vertex of a
+    block other than its top gates itself and all that hangs from it, and
+    the top gates all the rest of the graph.  The least vertex hanging from
+    each vertex is gathered children first, the least vertex outside a
+    block is the smaller of a prefix and a suffix minimum over the
+    discovery order, and an edge belongs to the block in which its endpoint
+    discovered later is not the top: all in O(n + e), and a sort of each
+    block's edges.
     """
-    if t == 0:
-        return (0, 1, 2, 3)
-    keep = np.zeros(D.shape[0], dtype=bool)
+    blocks, spans, order = block_tree(g)
+    n = g.n
+    below = list(range(n))  # least vertex hanging from each vertex, itself included
     for b in blocks:
-        if len(b) >= 4 and D[np.ix_(b, b)].max() >= t:
-            gates = D[:, b].argmin(axis=1)
-            keep[np.unique(gates, return_index=True)[1]] = True
-    ids = np.flatnonzero(keep)
-    if len(ids) < D.shape[0]:
-        D = D[np.ix_(ids, ids)]
+        below[b[0]] = min(below[b[0]], *(below[w] for w in b[1:]))
+    before = list(accumulate(order, min, initial=n))  # before[i] = min(order[:i])
+    after = list(accumulate(reversed(order), min, initial=n))[::-1]  # after[i] = min(order[i:])
+    disc = [0] * n
+    for i, v in enumerate(order):
+        disc[v] = i
+    own = [-1] * n  # the block of >= 4 vertices in which a vertex is not the top
+    label = [0] * n  # its label there
+    top_label, fmins, edges = {}, {}, {}
+    for i, (b, (lo, hi)) in enumerate(zip(blocks, spans)):
+        if len(b) < 4:
+            continue
+        f = [min(before[lo], after[hi])] + [below[w] for w in b[1:]]
+        rank = sorted(range(len(b)), key=f.__getitem__)
+        for j, p in enumerate(rank):
+            if p:
+                own[b[p]], label[b[p]] = i, j
+            else:
+                top_label[i] = j
+        fmins[i] = [f[p] for p in rank]
+        edges[i] = []
+    for u, i in enumerate(own):
+        if i < 0:
+            continue
+        for v in g._adj[u]:
+            if disc[v] < disc[u]:  # each edge once, from its endpoint discovered later
+                a, c = label[u], label[v] if own[v] == i else top_label[i]
+                edges[i].append((a, c) if a < c else (c, a))
+    return [(fmins[i], tuple(sorted(edges[i]))) for i in fmins]
+
+
+def _block_csr(k: int, edges: tuple) -> tuple:
+    """(nbrs, starts) of the block on 0..k-1 with the labelled ``edges``, as
+    ``_csr`` lays out a graph's adjacency."""
+    e = np.array(edges, dtype=np.intp)
+    ends = np.concatenate([e, e[:, ::-1]])
+    ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
+    return ends[:, 1].copy(), np.searchsorted(ends[:, 0], np.arange(k))
+
+
+def _block_matrix(csr) -> np.ndarray:
+    """Distance matrix of the block with adjacency ``csr``, from
+    ``_bit_bfs`` passes of 64 sources."""
+    k = len(csr[1])
+    D = np.empty((k, k), dtype=np.int32)
+    for batch, rows in _row_blocks(csr, range(k)):
+        D[batch] = rows
+    return D
+
+
+def _block_witness(D: np.ndarray, t: int, work: int) -> tuple:
+    """(quadruple, work): the first quadruple i<j<k<l of the block with
+    distance matrix ``D`` whose defect is ``t`` > 0, or None, and ``work``
+    plus the work of the scan.
+
+    Only vertices at distance >= t/2 from both i and j can complete it.  For
+    each (i, j) the (k, l) cells of those vertices are scored in chunks of
+    whole rows, at most ``_WITNESS_CELLS`` cells each where a row allows,
+    taken in order, so that the scan reads ``D`` in place in bounded scratch
+    memory.  Each (i, j) is charged ``_WITNESS_VISIT`` cells for its fixed
+    cost plus the square of its candidate count, a bound on the cells it
+    scores, before it is scanned, and a scan whose total would exceed
+    ``_WITNESS_WORK`` is refused with a SizeLimitError.
+    """
     far = D >= (t + 1) // 2  # 2 d >= t
-    work = 0
-    for i in range(len(ids) - 3):
+    for i in range(len(D) - 3):
         for j in np.flatnonzero(far[i, i + 1:]) + i + 1:
             c = np.flatnonzero(far[i, j + 1:] & far[j, j + 1:]) + j + 1
             work += _WITNESS_VISIT + len(c) * len(c)
             if work > _WITNESS_WORK:
                 raise SizeLimitError(
-                    f"exact mode's witness scan is capped at {_WITNESS_WORK} cells, and the "
-                    f"{len(ids)} candidate vertices of this graph need more; use sampled mode"
+                    f"exact mode's witness scan is capped at {_WITNESS_WORK} cells, and a "
+                    f"block of {len(D)} vertices needs more; use sampled mode"
                 )
             if len(c) < 2:
                 continue
@@ -210,8 +309,41 @@ def _first_witness(D: np.ndarray, blocks: list, t: int) -> tuple:
                 hit = np.triu(_defect_top_mid(s1, s2, s3) == t)  # l > k
                 if hit.any():
                     k, l = divmod(int(np.argmax(hit)), hit.shape[1])
-                    return tuple(int(ids[v]) for v in (i, j, c[r + k], c[r + 1 + l]))
-    raise AssertionError(f"no quadruple attains the maximum defect {t}")
+                    return (int(i), int(j), int(c[r + k]), int(c[r + 1 + l])), work
+    return None, work
+
+
+def _first_witness(parts: list, mats: dict, t: int) -> tuple:
+    """First quadruple i<j<k<l of the graph, in lexicographic order, whose
+    defect is ``t``, the maximum, from the blocks ``parts`` of ``_blocks``
+    and their matrices ``mats``.
+
+    A quadruple whose four gates in a block are distinct has the defect of
+    its gates, and one with a positive defect has such a block, of diameter
+    >= t; so the first quadruple is made of the fiber minima of four
+    vertices of one such block.  Each block is labelled by fiber minimum,
+    so its first quadruple in labels (``_block_witness``) is its least in
+    fiber minima, and the least over the blocks is the answer.  The blocks
+    are taken by their four least fiber minima, and the scan stops at the
+    first block whose four least cannot beat the best quadruple so far.
+    The work of every block scanned is charged against ``_WITNESS_WORK``.
+    """
+    if t == 0:
+        return (0, 1, 2, 3)
+    best = None
+    work = 0
+    for fmins, edges in sorted(parts, key=lambda part: part[0][:4]):
+        if best is not None and tuple(fmins[:4]) >= best:
+            break
+        D = mats[len(fmins), edges]
+        if D.max() < t:
+            continue
+        quad, work = _block_witness(D, t, work)
+        if quad is not None and (best is None or tuple(fmins[v] for v in quad) < best):
+            best = tuple(fmins[v] for v in quad)
+    if best is None:
+        raise AssertionError(f"no quadruple attains the maximum defect {t}")
+    return best
 
 
 def four_point_delta(
@@ -223,38 +355,45 @@ def four_point_delta(
     """Four-point hyperbolicity constant, exact or sampled.
 
     Exact mode refuses, with a SizeLimitError, a graph over one of the caps
-    on its vertices, its far-apart pairs per block and its witness work.  It takes
-    the maximum defect over the biconnected blocks, largest first, each
-    scanned by ``_max_defect`` over the far-apart pairs of the block's own
-    adjacency, in tiles, with its pair and diameter exits.  The witness is
-    the lexicographically smallest quadruple of the whole graph attaining
-    that maximum, found by a second, bounded scan; it may span several
-    blocks, and on a graph with delta 0 it is (0, 1, 2, 3).  Reports are
-    therefore reproducible bit for bit.  Sampled mode needs ``samples`` >= 1
-    and a seed; its value never exceeds the exact one.  A seed, when given,
-    is checked in either mode.
+    on the cells of its block matrices, its far-apart pairs per block and
+    its witness work.  It takes the maximum defect over the distinct
+    labelled blocks of ``_blocks``, largest first, each scanned once by
+    ``_max_defect`` over the far-apart pairs of the block's own adjacency,
+    in tiles, with its pair and diameter exits; a graph of one block uses
+    its own ``distance_matrix``.  The witness is the lexicographically
+    smallest quadruple of the whole graph attaining that maximum, found by
+    ``_first_witness`` block by block; it may span several blocks, and on a
+    graph with delta 0 it is (0, 1, 2, 3).  Reports are therefore
+    reproducible bit for bit.  Sampled mode needs ``samples`` >= 1 and a
+    seed; its value never exceeds the exact one.  A seed, when given, is
+    checked in either mode.
     """
     if seed is not None:
         seed = check_int("seed", seed, 0)
     if mode == "exact":
-        if g.n > _MAX_VERTICES:
-            raise SizeLimitError(
-                f"exact mode takes at most {_MAX_VERTICES} vertices (it holds their "
-                f"distance matrix), the graph has {g.n}; use sampled mode"
-            )
         if g.n < 4:
             return DeltaReport(0.0, "exact", None, None, None, g.n)
-        D = g.distance_matrix()
-        blocks = biconnected_blocks(g)
+        parts = _blocks(g)
+        distinct = dict.fromkeys((len(fmins), edges) for fmins, edges in parts)
+        cells = sum(k * k for k, _ in distinct)
+        if cells > _MAX_VERTICES ** 2:
+            raise SizeLimitError(
+                f"exact mode holds a distance matrix per distinct block, at most "
+                f"{_MAX_VERTICES} vertices squared in all; the blocks of this graph, the "
+                f"largest of {max(k for k, _ in distinct)} vertices, need {cells} cells; "
+                "use sampled mode"
+            )
+        mats = {}  # all held until the witness scan
         best = 0
-        for b in sorted(blocks, key=len, reverse=True):
-            if len(b) < 4:
-                break
-            index = {v: i for i, v in enumerate(b)}
-            nbrs = [[index[w] for w in g.neighbors(v) if w in index] for v in b]
-            block = D if len(b) == g.n else D[np.ix_(b, b)]
-            best = _max_defect(block, nbrs, best)
-        witness = _first_witness(D, blocks, best)
+        for k, edges in sorted(distinct, key=lambda key: -key[0]):
+            if k == g.n:  # the graph is one block, in its own ids
+                csr, D = _csr(g), g.distance_matrix()
+            else:
+                csr = _block_csr(k, edges)
+                D = _block_matrix(csr)
+            mats[k, edges] = D
+            best = _max_defect(D, csr, best)
+        witness = _first_witness(parts, mats, best)
         return DeltaReport(best / 2.0, "exact", None, None, witness, g.n)
 
     if mode == "sampled":

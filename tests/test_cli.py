@@ -268,12 +268,12 @@ def test_a_zero_brick_width_exits_2(tmp_path, capsys, command, extra):
 
 
 def test_size_guard_exits_3(tmp_path):
-    # farey_ball(9) is over the far-apart pair cap, path(4097) over the byte cap
-    farey, line = tmp_path / "f", tmp_path / "p"
+    # farey_ball(9) is over the far-apart pair cap, cycle(4097), one block, over the vertex cap
+    farey, ring = tmp_path / "f", tmp_path / "c"
     assert run(["gen", "farey", "--radius", "9", "--out", str(farey)]) == 0
-    assert run(["gen", "path", "--n", "4097", "--out", str(line)]) == 0
+    assert run(["gen", "cycle", "--n", "4097", "--out", str(ring)]) == 0
     assert run(["delta", str(farey) + ".graph.json", "--mode", "exact"]) == 3
-    assert run(["delta", str(line) + ".graph.json", "--mode", "exact"]) == 3
+    assert run(["delta", str(ring) + ".graph.json", "--mode", "exact"]) == 3
     assert run(["delta", str(farey) + ".graph.json", "--mode", "sampled",
                 "--samples", "200", "--seed", "1"]) == 0
 

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from _corpus import quasitree_setup
+from gromovlab import embedding, hyperbolicity
 from gromovlab.electrify import SubgraphFamily, electrify
 from gromovlab.embedding import (
     cone_exit_anchor,
@@ -17,6 +18,7 @@ from gromovlab.embedding import (
 )
 from gromovlab.generators import tree_of_rings
 from gromovlab.graphs import MetricGraph, dump_json
+from gromovlab.hyperbolicity import four_point_delta
 from gromovlab.projections import axiom_check
 from gromovlab.quasitree import build_quasitree
 
@@ -80,6 +82,23 @@ def test_qi_fit_on_the_small_ring_tree():
     # two-sided bound holds on every recorded pair
     for d_g, d_p in rep.records:
         assert d_g / rep.L_fit - rep.C_fit <= d_p <= rep.L_fit * d_g + rep.C_fit
+
+
+def test_repeated_blocks_and_members_are_scanned_once(monkeypatch):
+    g, fam, eg, _, y = quasitree_setup(2, 3, 12)
+    scans, diagnostics = [], []
+    scan, diagnostic = hyperbolicity._max_defect, embedding._delta_diagnostic
+    monkeypatch.setattr(
+        hyperbolicity, "_max_defect", lambda D, *args: scans.append(len(D)) or scan(D, *args))
+    monkeypatch.setattr(
+        embedding, "_delta_diagnostic", lambda h, seed: diagnostics.append(h.n) or diagnostic(h, seed))
+    # the electrified graph is 12 identical wheels of 13 vertices glued at cut vertices
+    assert four_point_delta(eg.graph).delta == 0.5
+    assert scans == [13]
+    rep = qi_fit(eg, y, basepoint=0, pair_budget=100)
+    # one delta for the electrified graph and one for the 12 identical rings
+    assert len(fam) == 12 and diagnostics == [eg.graph.n, 12]
+    assert (rep.eg_delta, rep.peripheral_delta_max) == (0.5, 3.0)
 
 
 def test_qi_fit_is_deterministic():

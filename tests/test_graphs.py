@@ -393,11 +393,11 @@ def test_bit_bfs_matches_multi_source_distances(k):
         rows = np.array([multi_source_distances(g, [s]) for s in sources])
         # with k = 64 source 63 owns the top bit, so the search only ends
         # once the full mask is all ones
-        assert np.array_equal(graphs._bit_bfs(g, sources, range(g.n)), rows)
+        assert np.array_equal(graphs._bit_bfs(graphs._csr(g), sources, range(g.n)), rows)
         targets = np.arange(0, g.n, 3)
         for cap in (0, 2, 5):
             capped = np.where(rows <= cap + 1, rows, cap + 2)[:, targets]
-            assert np.array_equal(graphs._bit_bfs(g, sources, targets, cap), capped)
+            assert np.array_equal(graphs._bit_bfs(graphs._csr(g), sources, targets, cap), capped)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,14 +3,14 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import _oracles as orc
 from _corpus import connected_graphs, family_instance, small
 from gromovlab import hyperbolicity
-from gromovlab.generators import cycle, farey_ball, grid, path, tree
-from gromovlab.graphs import MetricGraph, SizeLimitError, biconnected_blocks
+from gromovlab.generators import cycle, farey_ball, grid, path, tree, tree_of_rings
+from gromovlab.graphs import MetricGraph, SizeLimitError, _csr, biconnected_blocks
 from gromovlab.hyperbolicity import (
     _far_apart_pairs,
     four_point_delta,
@@ -82,8 +82,8 @@ def test_exact_mode_refuses_oversized_graphs(monkeypatch):
     # farey_ball(9): one block with 178 022 far-apart pairs, over the pair cap
     with pytest.raises(SizeLimitError, match="far-apart pairs.*sampled"):
         four_point_delta(farey_ball(9), mode="exact")
-    # 4097 vertices are over the vertex cap, refused before the matrix exists
-    long = path(4097)
+    # one block of 4097 vertices is over the vertex cap, refused before the matrix exists
+    long = cycle(4097)
     with pytest.raises(SizeLimitError, match="4096 vertices.*sampled"):
         four_point_delta(long, mode="exact")
     assert long._dist_matrix is None
@@ -95,6 +95,27 @@ def test_exact_mode_refuses_oversized_graphs(monkeypatch):
     monkeypatch.setattr(hyperbolicity, "_FAR_PAIRS", 1 << 17)
     rep = four_point_delta(k2)
     assert (rep.delta, rep.witness) == (1.0, (0, 1, 2, 3))
+
+
+def test_exact_caps_apply_per_block(monkeypatch):
+    # 4096 bridges, each a block of two: delta 0, and no block needs a matrix
+    long = path(4097)
+    monkeypatch.setattr(hyperbolicity, "_block_matrix", None)  # any matrix would raise
+    rep = four_point_delta(long)
+    assert (rep.delta, rep.witness) == (0.0, (0, 1, 2, 3))
+    assert long._dist_matrix is None
+    # two distinct blocks of 3000 and 3001 vertices hold more cells than one of 4096
+    edges = [(v, (v + 1) % 3000) for v in range(3000)]
+    edges += [(0, 3000), (5999, 0)] + [(v, v + 1) for v in range(3000, 5999)]
+    with pytest.raises(SizeLimitError, match="4096 vertices.*18006001 cells.*sampled"):
+        four_point_delta(MetricGraph(6000, edges))
+
+
+def test_a_ring_tree_past_the_old_vertex_cap_is_exact():
+    # 12 013 vertices in 1092 rings of 12: one matrix of 12 x 12 cells
+    g, _ = tree_of_rings(6, 3, 12)
+    rep = four_point_delta(g)
+    assert (rep.delta, rep.mode, rep.witness) == (3.0, "exact", (0, 1, 1095, 1100))
 
 
 def _ladder_with_a_ring(rungs, ring):
@@ -236,6 +257,39 @@ def test_exact_delta_and_witness_match_bruteforce_on_random_graphs(g):
     assert rep.delta == max(per_block)
 
 
+@st.composite
+def block_cut_trees(draw):
+    """Up to five small blocks glued at cut vertices: each is a cycle of 2-6
+    vertices (2: a bridge) with random chords, hung from a vertex placed
+    before it, and the ids are shuffled so that fiber minima matter."""
+    edges, n = set(), 1
+    for _ in range(draw(st.integers(1, 5))):
+        ring = [draw(st.integers(0, n - 1)), *range(n, n + draw(st.integers(1, 5)))]
+        n += len(ring) - 1
+        pairs = list(zip(ring, ring[1:] + ring[:1]))
+        pairs += draw(st.lists(st.tuples(st.sampled_from(ring), st.sampled_from(ring)), max_size=3))
+        edges |= {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    ids = draw(st.permutations(range(n)))
+    return MetricGraph(n, [(ids[u], ids[v]) for u, v in edges])
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_cut_trees())
+# three 4-cycles in a chain: the first quadruple, (0, 1, 2, 5), is the middle
+# block's with 1 in place of the cut vertex 7, whose fiber holds it
+@example(MetricGraph(10, [(0, 5), (5, 2), (2, 7), (7, 0), (2, 3), (3, 8), (8, 9), (9, 2),
+                          (7, 1), (1, 4), (4, 6), (6, 7)]))
+def test_block_cut_trees_match_bruteforce(g):
+    assume(g.n >= 4)
+    rep = four_point_delta(g)
+    D = orc.distance_matrix(g)
+    assert rep.delta == orc.delta_bruteforce(D)
+    assert rep.witness == next(
+        q for q in itertools.combinations(range(g.n), 4)
+        if orc.quadruple_defect(D, q) == 2 * rep.delta
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(shuffled_connected_graphs())
 def test_a_witness_scan_of_one_row_per_chunk_finds_the_first_quadruple(g):
@@ -254,7 +308,7 @@ def test_a_witness_scan_of_one_row_per_chunk_finds_the_first_quadruple(g):
 def test_far_apart_pairs_match_their_definition(g):
     D = orc.distance_matrix(g)
     nbrs = [g.neighbors(v) for v in range(g.n)]
-    xs, ys = _far_apart_pairs(D, nbrs)
+    xs, ys = _far_apart_pairs(D, _csr(g))
     expect = [
         (x, y) for x, y in itertools.combinations(range(g.n), 2)
         if all(D[w, y] <= D[x, y] for w in nbrs[x])

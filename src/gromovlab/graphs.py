@@ -526,12 +526,6 @@ def block_tree(g: MetricGraph) -> tuple:
     return blocks, spans, order
 
 
-def biconnected_blocks(g: MetricGraph) -> list:
-    """Vertex sets of the biconnected blocks of ``g``, each sorted, in sorted
-    order (see ``block_tree``)."""
-    return sorted(sorted(b) for b in block_tree(g)[0])
-
-
 def cartesian_product(gx: MetricGraph, gy: MetricGraph) -> MetricGraph:
     """Cartesian product graph; vertex (x, y) gets id x * gy.n + y."""
     ny = gy.n

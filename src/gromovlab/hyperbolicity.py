@@ -25,8 +25,9 @@ A repeated block, such as every ring of a ring tree, costs no more.  A
 second scan then reports the lexicographically smallest quadruple
 attaining the maximum: it is made of the fiber minima (the least vertex of
 the graph whose nearest vertex in the block is a given vertex) of four
-vertices of one block, so each block whose diameter allows it is scanned
-in its own labels, and the least quadruple over the blocks is kept.
+vertices of one block whose own maximum defect is the graph's, so each
+distinct such block is scanned once in its own labels, and the least
+quadruple over the blocks is kept.
 Sampled mode draws quadruples from a seeded generator and scores them a
 chunk at a time.
 """
@@ -144,9 +145,10 @@ def _far_apart_pairs(D: np.ndarray, csr) -> tuple:
     return xs[keep], ys[keep]
 
 
-def _max_defect(D: np.ndarray, csr, best: int) -> int:
+def _max_defect(D: np.ndarray, csr, best: int, stop: int | None = None) -> int:
     """Largest quadruple defect of the block with distance matrix ``D`` and
-    block adjacency ``csr`` if it exceeds ``best``, else ``best``.
+    block adjacency ``csr`` if it exceeds ``best``, else ``best``; with
+    ``stop``, the scan ends once the defect found reaches it.
     A block with more than ``_FAR_PAIRS`` far-apart pairs is refused with a
     SizeLimitError before its scan starts.
 
@@ -157,7 +159,7 @@ def _max_defect(D: np.ndarray, csr, best: int) -> int:
     d_k + d_j is the largest sum, at most 0 otherwise.  Pairs are taken by
     decreasing distance; a defect is at most twice each pairwise distance,
     so the scan stops at the first pair k with 2 d_k <= ``best``, and it
-    stops once ``best`` reaches the diameter.  Earlier pairs are gathered in
+    stops once ``best`` reaches the diameter (or ``stop``).  Earlier pairs are gathered in
     tiles of columns, against which later pairs are scored a chunk of rows
     at a time in preallocated buffers of the narrowest integer type that
     holds every score (int8 up to diameter 63).
@@ -165,6 +167,7 @@ def _max_defect(D: np.ndarray, csr, best: int) -> int:
     diam = int(D.max())
     if diam <= best:
         return best
+    stop = diam if stop is None else min(stop, diam)
     xs, ys = _far_apart_pairs(D, csr)
     D = D.astype(np.min_scalar_type(-2 * diam - 1))  # holds sums and scores, ±2 diam
     d = D[xs, ys]
@@ -190,7 +193,7 @@ def _max_defect(D: np.ndarray, csr, best: int) -> int:
             m = int(np.add(s2, d[rows, None], out=s2).max())
             if m > best:
                 best = m
-                if best >= diam:
+                if best >= stop:
                     return best
                 live = int(np.count_nonzero(2 * d > best))
             k = rows.stop
@@ -313,32 +316,53 @@ def _block_witness(D: np.ndarray, t: int, work: int) -> tuple:
     return None, work
 
 
-def _first_witness(parts: list, mats: dict, t: int) -> tuple:
+def _may_attain(D: np.ndarray, csr, t: int) -> bool:
+    """Whether the block with distance matrix ``D`` and adjacency ``csr``,
+    whose maximum defect is known to be at most ``t``, may attain ``t``: a
+    rescan of its far-apart pairs that ends at ``t`` decides, and a block
+    with too many of them to rescan is left to the witness scan."""
+    try:
+        return _max_defect(D, csr, t - 1, t) == t
+    except SizeLimitError:
+        return True
+
+
+def _first_witness(parts: list, scanned: dict, t: int) -> tuple:
     """First quadruple i<j<k<l of the graph, in lexicographic order, whose
-    defect is ``t``, the maximum, from the blocks ``parts`` of ``_blocks``
-    and their matrices ``mats``.
+    defect is ``t``, the maximum, from the blocks ``parts`` of ``_blocks``.
+    ``scanned`` maps each distinct labelled block to its (matrix, adjacency,
+    defect, exact): the value ``_max_defect`` returned for it, which is its
+    own maximum defect if ``exact``, else only a bound on it.
 
     A quadruple whose four gates in a block are distinct has the defect of
-    its gates, and one with a positive defect has such a block, of diameter
-    >= t; so the first quadruple is made of the fiber minima of four
-    vertices of one such block.  Each block is labelled by fiber minimum,
-    so its first quadruple in labels (``_block_witness``) is its least in
-    fiber minima, and the least over the blocks is the answer.  The blocks
-    are taken by their four least fiber minima, and the scan stops at the
-    first block whose four least cannot beat the best quadruple so far.
-    The work of every block scanned is charged against ``_WITNESS_WORK``.
+    its gates, and one with a positive defect has such a block, whose own
+    maximum is then >= t; so the first quadruple is made of the fiber minima
+    of four vertices of one block whose maximum is t.  Each block is
+    labelled by fiber minimum, so its first quadruple in labels
+    (``_block_witness``) is its least in fiber minima, and the least over
+    the blocks is the answer.  The blocks are taken by their four least
+    fiber minima, and the scan stops at the first block whose four least
+    cannot beat the best quadruple so far.  A block whose maximum is below
+    t is skipped, and one bounded by t only is first rescanned
+    (``_may_attain``); each distinct block is scanned for its quadruple
+    once, and that work is charged against ``_WITNESS_WORK``.
     """
     if t == 0:
         return (0, 1, 2, 3)
     best = None
     work = 0
+    quads = {}  # the first labelled quadruple of each distinct block, or None
     for fmins, edges in sorted(parts, key=lambda part: part[0][:4]):
         if best is not None and tuple(fmins[:4]) >= best:
             break
-        D = mats[len(fmins), edges]
-        if D.max() < t:
-            continue
-        quad, work = _block_witness(D, t, work)
+        key = len(fmins), edges
+        if key not in quads:
+            D, csr, defect, exact = scanned[key]
+            if defect < t or not exact and not _may_attain(D, csr, t):
+                quads[key] = None
+            else:
+                quads[key], work = _block_witness(D, t, work)
+        quad = quads[key]
         if quad is not None and (best is None or tuple(fmins[v] for v in quad) < best):
             best = tuple(fmins[v] for v in quad)
     if best is None:
@@ -383,7 +407,7 @@ def four_point_delta(
                 f"largest of {max(k for k, _ in distinct)} vertices, need {cells} cells; "
                 "use sampled mode"
             )
-        mats = {}  # all held until the witness scan
+        scanned = {}  # all held until the witness scan
         best = 0
         for k, edges in sorted(distinct, key=lambda key: -key[0]):
             if k == g.n:  # the graph is one block, in its own ids
@@ -391,9 +415,10 @@ def four_point_delta(
             else:
                 csr = _block_csr(k, edges)
                 D = _block_matrix(csr)
-            mats[k, edges] = D
-            best = _max_defect(D, csr, best)
-        witness = _first_witness(parts, mats, best)
+            defect = _max_defect(D, csr, best)
+            scanned[k, edges] = D, csr, defect, defect > best
+            best = defect
+        witness = _first_witness(parts, scanned, best)
         return DeltaReport(best / 2.0, "exact", None, None, witness, g.n)
 
     if mode == "sampled":

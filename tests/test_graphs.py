@@ -16,7 +16,7 @@ from gromovlab.asdimlab import cover_at_scale
 from gromovlab.generators import farey_ball, grid, tree_of_rings
 from gromovlab.graphs import (
     MetricGraph,
-    biconnected_blocks,
+    block_tree,
     cartesian_product,
     dilation,
     dump_json,
@@ -465,15 +465,18 @@ def test_nearest_points_validation():
 @settings(max_examples=60, deadline=None)
 @given(connected_graphs())
 def test_biconnected_blocks_match_networkx(g):
-    blocks = biconnected_blocks(g)
-    assert all(b == sorted(b) for b in blocks)
+    blocks, spans, order = block_tree(g)
+    assert sorted(order) == list(range(g.n))
+    for b, (lo, hi) in zip(blocks, spans):
+        # the top hangs above the block, its other vertices below it
+        assert b[0] not in order[lo:hi] and set(b[1:]) <= set(order[lo:hi])
     expect = {frozenset(c) for c in nx.biconnected_components(orc.to_networkx(g))}
     assert {frozenset(b) for b in blocks} == expect
     assert len(blocks) == len(expect)
 
 
 def test_biconnected_blocks_of_small_shapes():
-    assert biconnected_blocks(MetricGraph(1, [])) == []
+    assert block_tree(MetricGraph(1, []))[0] == []
     # two triangles sharing vertex 2, and a pendant edge at 4
     g = MetricGraph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (4, 5)])
-    assert biconnected_blocks(g) == [[0, 1, 2], [2, 3, 4], [4, 5]]
+    assert sorted(sorted(b) for b in block_tree(g)[0]) == [[0, 1, 2], [2, 3, 4], [4, 5]]

@@ -10,7 +10,7 @@ import _oracles as orc
 from _corpus import connected_graphs, family_instance, small
 from gromovlab import hyperbolicity
 from gromovlab.generators import cycle, farey_ball, grid, path, tree, tree_of_rings
-from gromovlab.graphs import MetricGraph, SizeLimitError, _csr, biconnected_blocks
+from gromovlab.graphs import MetricGraph, SizeLimitError, _csr, block_tree
 from gromovlab.hyperbolicity import (
     _far_apart_pairs,
     four_point_delta,
@@ -131,13 +131,95 @@ def _ladder_with_a_ring(rungs, ring):
     return MetricGraph(ring0 + ring, edges)
 
 
+def _k40_less_two_edges():
+    """K_40 less two disjoint edges among its last four vertices, which alone
+    have the maximal defect 2: the witness scan visits nearly every (i, j)."""
+    miss = {(36, 37), (38, 39)}
+    return MetricGraph(40, [e for e in itertools.combinations(range(40), 2) if e not in miss])
+
+
 def test_the_witness_scan_is_refused_past_its_work_cap(monkeypatch):
     g = _ladder_with_a_ring(50, 40)
     # vertex 0 has gate 100 on the ring, and 100, 110, 120, 130 form its square
     assert four_point_delta(g).witness == (0, 110, 120, 130)
     monkeypatch.setattr(hyperbolicity, "_WITNESS_WORK", 10**5)
     with pytest.raises(SizeLimitError, match="witness scan.*sampled"):
-        four_point_delta(g)
+        four_point_delta(_k40_less_two_edges())
+
+
+def test_a_block_below_the_maximum_gets_no_witness_scan():
+    # the 2 x 300 ladder is as long as the ring's defect 50 but has defect 2
+    # itself: scanned for the witness, it alone would pass the work cap
+    rep = four_point_delta(_ladder_with_a_ring(300, 100))
+    assert (rep.delta, rep.witness) == (25.0, (0, 625, 650, 675))
+
+
+def _first_attaining(g, defect):
+    D = orc.distance_matrix(g)
+    return next(
+        q for q in itertools.combinations(range(g.n), 4) if orc.quadruple_defect(D, q) == defect
+    )
+
+
+def _spy(monkeypatch, name, log):
+    inner = getattr(hyperbolicity, name)
+
+    def spy(*args):
+        # the block's size and its int arguments (not its matrix or adjacency)
+        log.append((name, len(args[0]), tuple(a for a in args[1:] if isinstance(a, int))))
+        return inner(*args)
+
+    monkeypatch.setattr(hyperbolicity, name, spy)
+
+
+def test_a_block_scanned_after_the_maximum_is_rescanned_up_to_it(monkeypatch):
+    # a 2 x 6 ladder on 0..11 bridged to the prism C_8 x K_2 on 12..27: the
+    # prism, larger, sets the maximum defect 4 first, so the ladder's scan
+    # only bounds its own defect (2) by 4, and it is within its diameter 6
+    e = [(v, v + 1) for v in (0, 1, 2, 3, 4, 6, 7, 8, 9, 10)] + [(v, v + 6) for v in range(6)]
+    e += [(11, 12)] + [(c + v, c + (v + 1) % 8) for c in (12, 20) for v in range(8)]
+    g = MetricGraph(28, e + [(12 + v, 20 + v) for v in range(8)])
+    log = []
+    _spy(monkeypatch, "_max_defect", log)
+    _spy(monkeypatch, "_block_witness", log)
+    rep = four_point_delta(g)
+    assert (rep.delta, rep.witness) == (2.0, _first_attaining(g, 4))
+    assert log == [
+        ("_max_defect", 16, (0,)),
+        ("_max_defect", 12, (4,)),
+        ("_max_defect", 12, (3, 4)),  # the rescan, ending at 4, finds 2 < 4
+        ("_block_witness", 16, (4, 0)),
+    ]
+
+
+def test_a_block_too_wide_to_rescan_is_left_to_the_witness_scan(monkeypatch):
+    # C_9 on 0..8 (diameter 4, defect 3, 9 far-apart pairs) bridged to the
+    # prism C_8 x K_2 (defect 4, 8 pairs): with room for 8 pairs, the main
+    # scan passes and the rescan of C_9 is refused, so C_9 is witness-scanned
+    e = [(v, (v + 1) % 9) for v in range(9)] + [(8, 9)]
+    e += [(c + v, c + (v + 1) % 8) for c in (9, 17) for v in range(8)]
+    g = MetricGraph(25, sorted(tuple(sorted(x)) for x in e + [(9 + v, 17 + v) for v in range(8)]))
+    monkeypatch.setattr(hyperbolicity, "_FAR_PAIRS", 8)
+    log = []
+    _spy(monkeypatch, "_block_witness", log)
+    rep = four_point_delta(g)
+    assert (rep.delta, rep.witness) == (2.0, _first_attaining(g, 4))
+    assert [k for _, k, _ in log] == [9, 16]
+
+
+def test_each_distinct_block_gets_one_witness_scan(monkeypatch):
+    # six 8-cycles through vertex 0, ids dealt round-robin: every ring's four
+    # least ids beat the first ring's witness, so all six are visited
+    e = []
+    for r in range(6):
+        ring = [0] + [1 + 6 * j + r for j in range(7)]
+        e += [(min(u, v), max(u, v)) for u, v in zip(ring, ring[1:] + ring[:1])]
+    g = MetricGraph(43, e)
+    log = []
+    _spy(monkeypatch, "_block_witness", log)
+    rep = four_point_delta(g)
+    assert (rep.delta, rep.witness) == (2.0, _first_attaining(g, 4))
+    assert log == [("_block_witness", 8, (4, 0))]
 
 
 def test_the_witness_cap_admits_every_graph_of_at_most_300_vertices(monkeypatch):
@@ -145,12 +227,9 @@ def test_the_witness_cap_admits_every_graph_of_at_most_300_vertices(monkeypatch)
         return sum(j * (hyperbolicity._WITNESS_VISIT + (n - 1 - j) ** 2) for j in range(n))
 
     assert bound(300) <= hyperbolicity._WITNESS_WORK
-    # the bound holds where the scan is longest: K_40 less two disjoint edges
-    # among its last four vertices, which alone have the maximal defect 2
-    miss = {(36, 37), (38, 39)}
-    g = MetricGraph(40, [e for e in itertools.combinations(range(40), 2) if e not in miss])
+    # the bound holds where the scan is longest
     monkeypatch.setattr(hyperbolicity, "_WITNESS_WORK", bound(40))
-    assert four_point_delta(g).witness == (36, 37, 38, 39)
+    assert four_point_delta(_k40_less_two_edges()).witness == (36, 37, 38, 39)
 
 
 def test_sampled_mode_is_reproducible_and_below_exact():
@@ -216,7 +295,7 @@ def test_witness_is_the_first_attaining_quadruple_of_the_whole_graph():
     # cycle, first by (1, 3, 5, 7), but (0, 3, 5, 7) comes earlier and spans
     # both blocks
     g = MetricGraph(9, [(0, 1)] + [(v, v % 8 + 1) for v in range(1, 9)])
-    assert biconnected_blocks(g) == [[0, 1], [1, 2, 3, 4, 5, 6, 7, 8]]
+    assert sorted(sorted(b) for b in block_tree(g)[0]) == [[0, 1], [1, 2, 3, 4, 5, 6, 7, 8]]
     rep = four_point_delta(g)
     assert (rep.delta, rep.witness) == (2.0, (0, 3, 5, 7))
     assert orc.quadruple_defect(orc.distance_matrix(g), (1, 3, 5, 7)) == 4
@@ -252,7 +331,7 @@ def test_exact_delta_and_witness_match_bruteforce_on_random_graphs(g):
     assert rep.witness == first
     per_block = [
         orc.delta_bruteforce(orc.distance_matrix(g.induced(b)[0]))
-        for b in biconnected_blocks(g)
+        for b in block_tree(g)[0]
     ]
     assert rep.delta == max(per_block)
 

@@ -20,12 +20,7 @@ from .generators import (
     tree,
     tree_of_rings,
 )
-from .hyperbolicity import (
-    DeltaReport,
-    four_point_delta,
-    intrinsic_vs_extrinsic,
-    quasiconvexity_constant,
-)
+from .hyperbolicity import DeltaReport, four_point_delta, quasiconvexity_constant
 from .electrify import (
     ElectrifiedGraph,
     PenetrationReport,
@@ -47,7 +42,6 @@ from .embedding import (
     EmbeddingReport,
     cone_exit_anchor,
     edge_lipschitz,
-    embed_point,
     enlargement,
     qi_fit,
 )
@@ -77,7 +71,6 @@ __all__ = [
     "DeltaReport",
     "four_point_delta",
     "quasiconvexity_constant",
-    "intrinsic_vs_extrinsic",
     "SubgraphFamily",
     "ElectrifiedGraph",
     "PenetrationReport",
@@ -96,7 +89,6 @@ __all__ = [
     "wide_points",
     "EmbeddingReport",
     "cone_exit_anchor",
-    "embed_point",
     "enlargement",
     "qi_fit",
     "edge_lipschitz",

@@ -14,7 +14,6 @@ from .graphs import (
     check_int_lists,
     check_int_pairs,
     check_real,
-    dump_json,
     graph_from_obj,
     graph_to_obj,
     read_json,
@@ -230,11 +229,6 @@ def eg_from_obj(obj) -> ElectrifiedGraph:
 
 def load_eg(path) -> ElectrifiedGraph:
     return eg_from_obj(read_json(path))
-
-
-def save_eg(path, eg: ElectrifiedGraph):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(eg_to_obj(eg)))
 
 
 def cone_visits(walk, eg: ElectrifiedGraph) -> list:

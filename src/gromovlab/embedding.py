@@ -30,7 +30,7 @@ def _basepoint_tag(eg: ElectrifiedGraph, basepoint: int) -> tuple:
     raise ValueError(f"basepoint {basepoint} lies in no family member")
 
 
-def cone_exit_anchor(eg: ElectrifiedGraph, y: QuasiTreeSpace, basepoint: int, target: int) -> tuple:
+def cone_exit_anchor(eg: ElectrifiedGraph, basepoint: int, target: int) -> tuple:
     """Tagged quasi-tree vertex where the canonical geodesic from the
     basepoint to ``target`` last exits a cone; basepoint's own tag if the
     geodesic crosses no cone."""
@@ -52,24 +52,10 @@ def _anchor_ids(eg: ElectrifiedGraph, y: QuasiTreeSpace, basepoint: int):
     def anchor_id(v):
         out = memo.get(v)
         if out is None:
-            out = memo[v] = y.id_of(cone_exit_anchor(eg, y, basepoint, v))
+            out = memo[v] = y.id_of(cone_exit_anchor(eg, basepoint, v))
         return out
 
     return anchor_id
-
-
-def embed_point(eg: ElectrifiedGraph, y: QuasiTreeSpace, basepoint: int, target: int) -> tuple:
-    """The embedding itself: (identity coordinate, anchor coordinate)."""
-    return target, cone_exit_anchor(eg, y, basepoint, target)
-
-
-def product_distance(eg: ElectrifiedGraph, y: QuasiTreeSpace, image_a, image_b) -> int:
-    """Sum metric on (electrified graph) x (quasi-tree) image pairs."""
-    va, ta = image_a
-    vb, tb = image_b
-    return eg.graph.shortest_distance(va, vb) + y.graph.shortest_distance(
-        y.id_of(ta), y.id_of(tb)
-    )
 
 
 def enlargement(eg: ElectrifiedGraph, walk) -> list:

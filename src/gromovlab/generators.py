@@ -49,30 +49,20 @@ def tree(depth: int, valence: int) -> MetricGraph:
     """
     check_int("depth", depth, 0)
     check_int("valence", valence, 2)
+    return _rooted_tree(depth, valence, valence - 1)
+
+
+def _rooted_tree(depth: int, root_kids: int, kids: int) -> MetricGraph:
+    """Rooted tree of the given depth, ids in BFS order: the root has
+    ``root_kids`` children and every other vertex above the leaf level has
+    ``kids``."""
     edges = []
     frontier = [0]
     next_id = 1
     for level in range(depth):
         new_frontier = []
-        kids = valence if level == 0 else valence - 1
         for parent in frontier:
-            for _ in range(kids):
-                edges.append((parent, next_id))
-                new_frontier.append(next_id)
-                next_id += 1
-        frontier = new_frontier
-    return MetricGraph(next_id, edges)
-
-
-def _tree_all_children(depth: int, valence: int) -> MetricGraph:
-    # children convention: every vertex above the leaf level has `valence` children
-    edges = []
-    frontier = [0]
-    next_id = 1
-    for _ in range(depth):
-        new_frontier = []
-        for parent in frontier:
-            for _ in range(valence):
+            for _ in range(root_kids if level == 0 else kids):
                 edges.append((parent, next_id))
                 new_frontier.append(next_id)
                 next_id += 1
@@ -125,7 +115,7 @@ def tree_of_rings(depth: int, valence: int, ring_len: int):
     """
     check_int("depth", depth, 1)
     check_int("valence", valence, 1)
-    skeleton = _tree_all_children(depth, valence)
+    skeleton = _rooted_tree(depth, valence, valence)
     return ring_subdivide(skeleton, ring_len)
 
 
@@ -138,7 +128,10 @@ def hierarchy_tower(levels: int, valence: int, ring_len: int, depth: int = 2):
     rings one level down.  Returns a list of (graph, family) pairs.
     """
     check_int("levels", levels, 1)
-    base = _tree_all_children(depth, valence)
+    check_int("depth", depth, 1)
+    check_int("valence", valence, 1)
+    check_int("ring_len", ring_len, 3)
+    base = _rooted_tree(depth, valence, valence)
     out = [(base, SubgraphFamily([]))]
     cur = base
     for _ in range(levels - 1):

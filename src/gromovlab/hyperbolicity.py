@@ -449,52 +449,17 @@ def four_point_delta(
     raise ValueError(f"unknown mode {mode!r} (expected 'exact' or 'sampled')")
 
 
-def _sample_index_pairs(k: int, budget: int, seed: int | None):
-    """All index pairs if they fit the budget, else a seeded sample."""
-    seed = None if seed is None else check_int("seed", seed, 0)
-    total = k * (k - 1) // 2
-    if total <= budget:
-        return list(combinations(range(k), 2))
-    rng = np.random.default_rng(seed)
-    pairs = []
-    while len(pairs) < budget:
-        i = int(rng.integers(k))
-        j = int(rng.integers(k))
-        if i != j:
-            pairs.append((min(i, j), max(i, j)))
-    return pairs
-
-
-def quasiconvexity_constant(g: MetricGraph, H, pair_budget: int, seed: int | None = None) -> int:
-    """Max distance from canonical geodesics between members of H back to H.
-
-    0 means every sampled geodesic stays inside H.  H must induce a connected
-    subgraph.
+def quasiconvexity_constant(g: MetricGraph, H) -> int:
+    """Max distance back to H from the canonical geodesics between members
+    of H, exact over every pair; 0 means every such geodesic stays inside H.
+    H must induce a connected subgraph.  The geodesics read at most |H|
+    distance rows, those of H, through the graph's row cache.
     """
-    check_int("pair_budget", pair_budget, 1)
     hs = sorted(set(H))
     if not g.is_connected_subset(hs):
         raise ValueError("H does not induce a connected subgraph")
     to_h = multi_source_distances(g, hs)
     worst = 0
-    for i, j in _sample_index_pairs(len(hs), pair_budget, seed):
-        for z in g.geodesic(hs[i], hs[j]):
-            worst = max(worst, int(to_h[z]))
-    return worst
-
-
-def intrinsic_vs_extrinsic(g: MetricGraph, H, pair_budget: int, seed: int | None = None) -> float:
-    """Worst sampled ratio of intrinsic subgraph distance to ambient distance.
-
-    1.0 means the subgraph sits in the ambient graph without any shortcut;
-    large values flag members whose inclusion badly distorts distances.
-    """
-    check_int("pair_budget", pair_budget, 1)
-    hs = sorted(set(H))
-    sub, old_to_new = g.induced(hs)  # raises on disconnected H
-    worst = 1.0
-    for i, j in _sample_index_pairs(len(hs), pair_budget, seed):
-        du = g.shortest_distance(hs[i], hs[j])
-        dh = sub.shortest_distance(old_to_new[hs[i]], old_to_new[hs[j]])
-        worst = max(worst, dh / du)
+    for i, j in combinations(hs, 2):
+        worst = max(worst, int(to_h[g.geodesic(i, j)].max()))
     return worst

@@ -17,7 +17,7 @@ import numpy as np
 
 from .electrify import SubgraphFamily
 from .graphs import MetricGraph, _check_vertex, check_real, set_diameter
-from .graphs import multi_source_distances, nearest_points, nearest_set
+from .graphs import nearest_points, nearest_set
 
 
 def project(g: MetricGraph, H, x: int) -> tuple:
@@ -28,14 +28,6 @@ def project(g: MetricGraph, H, x: int) -> tuple:
     if not g.is_connected_subset(hs):
         raise ValueError("projection target does not induce a connected subgraph")
     return nearest_set(hs, nearest_points(g, hs)[1], [_check_vertex(g.n, x)])
-
-
-def hausdorff_distance(g: MetricGraph, A, B) -> int:
-    """Hausdorff distance between two vertex sets in the ambient metric."""
-    a, b = sorted(set(A)), sorted(set(B))
-    if not a or not b:
-        raise ValueError("Hausdorff distance of an empty set")
-    return int(max(multi_source_distances(g, b)[a].max(), multi_source_distances(g, a)[b].max()))
 
 
 def proj_set_diameter(g: MetricGraph, H_c, H_d) -> int:
@@ -121,16 +113,6 @@ def triple_distance(g: MetricGraph, fam: SubgraphFamily, a: int, b: int, c: int)
     if len({a, b, c}) != 3:
         raise ValueError("triple distance needs three distinct member indices")
     return int(ProjectionTable(g, fam).member(a)[b, c])
-
-
-def projection_constant(g: MetricGraph, fam: SubgraphFamily) -> int:
-    """R: the largest diameter of the projection of one member onto another,
-    exact over every ordered pair (axiom 1)."""
-    table = ProjectionTable(g, fam)
-    m = len(fam)
-    if m < 2:
-        raise ValueError("axiom check needs at least two family members")
-    return max(int(table.member(c).diagonal().max()) for c in range(m))
 
 
 def auto_theta(R: int) -> float:

@@ -122,14 +122,6 @@ def triple_oracle(D, members, a, b, c):
     return set_diameter_oracle(D, pts)
 
 
-def hausdorff_oracle(D, A, B):
-    a = sorted(set(A))
-    b = sorted(set(B))
-    d_ab = max(min(int(D[x][y]) for y in b) for x in a)
-    d_ba = max(min(int(D[x][y]) for x in a) for y in b)
-    return max(d_ab, d_ba)
-
-
 def _dijkstra_path(graph, weights: dict, source: int, target: int) -> list:
     """Least-weight walk by plain Dijkstra, with weights keyed by edge."""
     dist = {source: 0.0}

@@ -6,12 +6,7 @@ import pytest
 from _corpus import electrified, family_instance, quasitree_setup, small
 from gromovlab.electrify import penetration_profile
 from gromovlab.embedding import qi_fit
-from gromovlab.generators import path
-from gromovlab.hyperbolicity import (
-    four_point_delta,
-    intrinsic_vs_extrinsic,
-    quasiconvexity_constant,
-)
+from gromovlab.hyperbolicity import four_point_delta
 from gromovlab.projections import axiom_check
 from gromovlab.quasitree import build_quasitree
 
@@ -33,21 +28,11 @@ def _penetration_deep(value):
     penetration_profile(electrified(1, 1, 12), L=1.5, samples=5, seed=0, deep_threshold=value)
 
 
-def _quasiconvexity_pairs(value):
-    quasiconvexity_constant(path(8), range(4), pair_budget=value)
-
-
-def _distortion_pairs(value):
-    intrinsic_vs_extrinsic(path(8), range(4), pair_budget=value)
-
-
 COUNTS = [
     (_delta_samples, "samples"),
     (_qi_fit_pairs, "pair_budget"),
     (_penetration_samples, "budget"),
     (_penetration_deep, "deep_threshold"),
-    (_quasiconvexity_pairs, "pair_budget"),
-    (_distortion_pairs, "pair_budget"),
 ]
 
 
@@ -76,21 +61,11 @@ def _qi_fit_seed(value):
     qi_fit(eg, y, basepoint=0, pair_budget=5, seed=value)
 
 
-def _quasiconvexity_seed(value):
-    quasiconvexity_constant(path(8), range(4), pair_budget=2, seed=value)
-
-
-def _distortion_seed(value):
-    intrinsic_vs_extrinsic(path(8), range(4), pair_budget=2, seed=value)
-
-
 SEEDS = [
     _delta_seed,
     _exact_delta_seed,
     _penetration_seed,
     _qi_fit_seed,
-    _quasiconvexity_seed,
-    _distortion_seed,
 ]
 
 

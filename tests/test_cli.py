@@ -101,6 +101,8 @@ def test_usage_errors_exit_64(tmp_path):
 
 def test_validation_errors_exit_2(tmp_path):
     assert run(["gen", "cycle", "--n", "2", "--out", str(tmp_path / "x")]) == 2
+    for flag in (["--valence", "0"], ["--depth", "-3"]):
+        assert run(["gen", "tower", "--levels", "2", *flag, "--out", str(tmp_path / "x")]) == 2
     assert run(["delta", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text('{"nope": 1}', encoding="utf-8")

@@ -26,10 +26,9 @@ from gromovlab.electrify import (
     is_efficient,
     load_eg,
     penetration_profile,
-    save_eg,
 )
 from gromovlab.generators import cycle, path
-from gromovlab.graphs import MetricGraph
+from gromovlab.graphs import MetricGraph, dump_json
 
 
 def test_family_normalizes_members():
@@ -196,7 +195,7 @@ def test_cone_to_cone_edges_are_rejected():
 def test_eg_file_round_trip(tmp_path):
     eg = electrified(2, 3, 12)
     target = tmp_path / "x.eg.json"
-    save_eg(target, eg)
+    target.write_text(dump_json(eg_to_obj(eg)), encoding="utf-8")
     back = load_eg(target)
     assert back.graph == eg.graph
     assert back.base_size == eg.base_size

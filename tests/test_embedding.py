@@ -8,14 +8,7 @@ import pytest
 from _corpus import quasitree_setup
 from gromovlab import embedding, hyperbolicity
 from gromovlab.electrify import SubgraphFamily, electrify
-from gromovlab.embedding import (
-    cone_exit_anchor,
-    edge_lipschitz,
-    embed_point,
-    enlargement,
-    product_distance,
-    qi_fit,
-)
+from gromovlab.embedding import cone_exit_anchor, edge_lipschitz, enlargement, qi_fit
 from gromovlab.generators import tree_of_rings
 from gromovlab.graphs import MetricGraph, dump_json
 from gromovlab.hyperbolicity import four_point_delta
@@ -24,7 +17,7 @@ from gromovlab.quasitree import build_quasitree
 
 
 def test_anchor_falls_back_to_the_basepoint_tag():
-    g, fam, eg, _, y = quasitree_setup(2, 3, 12)
+    g, fam, eg = quasitree_setup(2, 3, 12)[:3]
     # a target inside the basepoint's own ring: the canonical geodesic stays
     # in the base graph, so the anchor is the basepoint's tag
     member = fam.members[0]
@@ -32,35 +25,23 @@ def test_anchor_falls_back_to_the_basepoint_tag():
     target = next(v for v in member if 0 < eg.graph.shortest_distance(0, v) <= 2)
     walk = eg.graph.geodesic(0, target)
     if all(not eg.is_cone(v) for v in walk):
-        assert cone_exit_anchor(eg, y, 0, target) == (0, 0)
+        assert cone_exit_anchor(eg, 0, target) == (0, 0)
 
 
 def test_anchor_is_the_exit_vertex_of_the_last_cone():
-    g, fam, eg, _, y = quasitree_setup(2, 3, 12)
+    g, fam, eg = quasitree_setup(2, 3, 12)[:3]
     far = int(eg.graph.distances_from(0)[: g.n].argmax())
     walk = eg.graph.geodesic(0, far)
     cones = [(k, eg.cone_index(v)) for k, v in enumerate(walk) if eg.is_cone(v)]
     assert cones, "expected the far target to need at least one cone"
     k, c = cones[-1]
-    assert cone_exit_anchor(eg, y, 0, far) == (c, walk[k + 1])
+    assert cone_exit_anchor(eg, 0, far) == (c, walk[k + 1])
 
 
 def test_anchor_validation():
-    g, fam, eg, _, y = quasitree_setup(2, 3, 12)
+    g, fam, eg = quasitree_setup(2, 3, 12)[:3]
     with pytest.raises(ValueError, match="not a base vertex"):
-        cone_exit_anchor(eg, y, 0, eg.graph.n - 1)
-
-
-def test_embed_point_and_product_distance_compose():
-    g, fam, eg, _, y = quasitree_setup(2, 3, 12)
-    img_a = embed_point(eg, y, 0, 7)
-    img_b = embed_point(eg, y, 0, 99)
-    assert img_a[0] == 7 and img_b[0] == 99
-    d = product_distance(eg, y, img_a, img_b)
-    expect = eg.graph.shortest_distance(7, 99) + y.graph.shortest_distance(
-        y.id_of(img_a[1]), y.id_of(img_b[1])
-    )
-    assert d == expect
+        cone_exit_anchor(eg, 0, eg.graph.n - 1)
 
 
 def test_qi_fit_on_the_small_ring_tree():

@@ -8,6 +8,7 @@ from gromovlab.generators import (
     cycle,
     farey_ball,
     grid,
+    hierarchy_tower,
     path,
     ring_subdivide,
     tower_audit,
@@ -60,6 +61,11 @@ def test_tree_uses_the_degree_convention():
         (tree, (True, 2)),
         (farey_ball, (0,)),
         (tree_of_rings, (1, 1, 2)),
+        (hierarchy_tower, (2, 0, 12, 2)),
+        (hierarchy_tower, (2, True, 12, 2)),
+        (hierarchy_tower, (2, 3, 12, -3)),
+        (hierarchy_tower, (2, 3, 12, 2.5)),
+        (hierarchy_tower, (1, 3, 2, 2)),
     ],
 )
 def test_parameter_validation(factory, args):

@@ -142,7 +142,8 @@ def test_axiom_check_validation():
 @pytest.mark.parametrize(
     "spec,rows",
     [((2, 3, 12), 4), ((3, 3, 12), 13)],
-    ids=["axiom_check-rings-2-3-12", "axiom_check-rings-3-3-12"],
+    # axiom_check also measures the projection constant R (its R_measured)
+    ids=["axiom_check-rings-2-3-12", "projection_constant-rings-3-3-12"],
 )
 def test_the_row_cache_holds_only_the_rows_of_projection_points(spec, rows):
     g, fam = tree_of_rings(*spec)  # a fresh graph, so the row cache starts empty

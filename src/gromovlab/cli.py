@@ -69,30 +69,31 @@ def _sha256(path) -> str:
     return hashlib.sha256(raw).hexdigest()
 
 
-def _params(args) -> dict:
-    out = {}
-    for key, value in vars(args).items():
-        if key == "func":
-            continue
-        out[key] = value
-    return out
-
-
-def _manifest(args, started: float, inputs=None, seeds=None) -> dict:
-    return {
-        "command": getattr(args, "command", "?"),
-        "params": _params(args),
+def _write(args, started: float, suffix: str, data, seeds=None) -> None:
+    """Write ``data`` to ``<out><suffix>`` wrapped with its manifest: the
+    command, its parameters, ``seeds``, the digests of whichever of the
+    graph and family inputs the command reads, the version and the wall
+    time so far."""
+    inputs = [name for name in ("family", "graph") if hasattr(args, name)]
+    manifest = {
+        "command": args.command,
+        "params": {key: value for key, value in vars(args).items() if key != "func"},
         "seeds": seeds or {},
-        "inputs_sha256": {name: _sha256(p) for name, p in sorted((inputs or {}).items())},
+        "inputs_sha256": {name: _sha256(getattr(args, name)) for name in inputs},
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
-
-
-def _write(path, manifest: dict, data) -> None:
+    path = f"{args.out}{suffix}"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dump_json({"manifest": manifest, "data": data}))
     print(f"wrote {path}")
+
+
+def _inputs(args) -> tuple:
+    """(graph, family, their electrification) read from ``args``."""
+    g = load_graph(args.graph)
+    fam = load_family(args.family)
+    return g, fam, electrify(g, fam)
 
 
 def _parse_theta(raw):
@@ -123,9 +124,8 @@ def cmd_gen(args, started: float) -> int:
         levels = hierarchy_tower(args.levels, args.valence, args.ring_len, args.depth)
         audit = tower_audit(levels)
         for i, (g, fam) in enumerate(levels, start=1):
-            manifest = _manifest(args, started)
-            _write(f"{args.out}.level{i}.graph.json", manifest, graph_to_obj(g))
-            _write(f"{args.out}.level{i}.family.json", manifest, family_to_obj(fam))
+            _write(args, started, f".level{i}.graph.json", graph_to_obj(g))
+            _write(args, started, f".level{i}.family.json", family_to_obj(fam))
             print(f"level {i}: {g.n} vertices, {len(g.edges)} edges, {len(fam)} members")
         print(
             f"tower audit: {'ok' if audit['ok'] else 'FAILED'} "
@@ -135,10 +135,9 @@ def cmd_gen(args, started: float) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown generator {kind!r}")
 
-    manifest = _manifest(args, started)
-    _write(f"{args.out}.graph.json", manifest, graph_to_obj(g))
+    _write(args, started, ".graph.json", graph_to_obj(g))
     if family is not None:
-        _write(f"{args.out}.family.json", manifest, family_to_obj(family))
+        _write(args, started, ".family.json", family_to_obj(family))
     if args.dot:
         with open(f"{args.out}.dot", "w", encoding="utf-8") as fh:
             fh.write(graph_to_dot(g))
@@ -152,11 +151,8 @@ def cmd_gen(args, started: float) -> int:
 
 
 def cmd_electrify(args, started: float) -> int:
-    g = load_graph(args.graph)
-    fam = load_family(args.family)
-    eg = electrify(g, fam)
-    manifest = _manifest(args, started, inputs={"graph": args.graph, "family": args.family})
-    _write(f"{args.out}.eg.json", manifest, eg_to_obj(eg))
+    _, _, eg = _inputs(args)
+    _write(args, started, ".eg.json", eg_to_obj(eg))
     print(
         f"electrified: {eg.base_size} base + {len(eg.family)} cone vertices, "
         f"{len(eg.graph.edges)} edges"
@@ -165,9 +161,7 @@ def cmd_electrify(args, started: float) -> int:
 
 
 def cmd_penetration(args, started: float) -> int:
-    g = load_graph(args.graph)
-    fam = load_family(args.family)
-    eg = electrify(g, fam)
+    _, _, eg = _inputs(args)
     rep = penetration_profile(
         eg,
         L=args.quality,
@@ -176,13 +170,7 @@ def cmd_penetration(args, started: float) -> int:
         deep_threshold=args.deep,
         alternates=args.alternates,
     )
-    manifest = _manifest(
-        args,
-        started,
-        inputs={"graph": args.graph, "family": args.family},
-        seeds={"seed": args.seed},
-    )
-    _write(f"{args.out}.penetration.json", manifest, rep.to_obj())
+    _write(args, started, ".penetration.json", rep.to_obj(), {"seed": args.seed})
     print(
         f"penetration: p_estimate = {rep.p_estimate}, deep crossings = {len(rep.records)}, "
         f"missed = {rep.missed_total}"
@@ -196,10 +184,9 @@ def cmd_penetration(args, started: float) -> int:
 def cmd_delta(args, started: float) -> int:
     g = load_graph(args.graph)
     rep = four_point_delta(g, mode=args.mode, samples=args.samples, seed=args.seed)
-    seeds = {"seed": args.seed} if args.mode == "sampled" else {}
     if args.out:
-        manifest = _manifest(args, started, inputs={"graph": args.graph}, seeds=seeds)
-        _write(f"{args.out}.delta.json", manifest, rep.to_obj())
+        seeds = {"seed": args.seed} if args.mode == "sampled" else None
+        _write(args, started, ".delta.json", rep.to_obj(), seeds)
     print(f"delta = {rep.delta} ({rep.mode}, {g.n} vertices, witness {rep.witness})")
     return 0
 
@@ -208,8 +195,7 @@ def cmd_axioms(args, started: float) -> int:
     g = load_graph(args.graph)
     fam = load_family(args.family)
     rep = axiom_check(g, fam, theta=_parse_theta(args.theta))
-    manifest = _manifest(args, started, inputs={"graph": args.graph, "family": args.family})
-    _write(f"{args.out}.axioms.json", manifest, rep.to_obj())
+    _write(args, started, ".axioms.json", rep.to_obj())
     print(
         f"axioms: R_measured = {rep.R_measured}, theta = {rep.theta} ({rep.theta_mode}), "
         f"axiom-2 violations = {len(rep.axiom2_violations)} over {rep.triples_checked} "
@@ -224,8 +210,7 @@ def cmd_quasitree(args, started: float) -> int:
     y = build_quasitree(
         g, fam, _parse_theta(args.theta), rule=args.rule, with_diff=not args.no_diff
     )
-    manifest = _manifest(args, started, inputs={"graph": args.graph, "family": args.family})
-    _write(f"{args.out}.y.json", manifest, y_to_obj(y))
+    _write(args, started, ".y.json", y_to_obj(y))
     msg = (
         f"quasi-tree: {y.graph.n} vertices, {len(y.graph.edges)} edges, "
         f"{len(y.cross_edges)} cross edges at theta = {y.theta} ({y.rule} rule)"
@@ -238,18 +223,10 @@ def cmd_quasitree(args, started: float) -> int:
 
 
 def cmd_embed(args, started: float) -> int:
-    g = load_graph(args.graph)
-    fam = load_family(args.family)
-    eg = electrify(g, fam)
+    g, fam, eg = _inputs(args)
     y = build_quasitree(g, fam, _parse_theta(args.theta), rule=args.rule, with_diff=False)
     rep = qi_fit(eg, y, basepoint=args.basepoint, pair_budget=args.pairs, seed=args.seed)
-    manifest = _manifest(
-        args,
-        started,
-        inputs={"graph": args.graph, "family": args.family},
-        seeds={"seed": args.seed},
-    )
-    _write(f"{args.out}.embed.json", manifest, rep.to_obj())
+    _write(args, started, ".embed.json", rep.to_obj(), {"seed": args.seed})
     print(
         f"embedding: L_fit = {rep.L_fit}, C_fit = {rep.C_fit}, "
         f"violations = {rep.violation_count}/{rep.n_pairs}, "
@@ -260,9 +237,7 @@ def cmd_embed(args, started: float) -> int:
 
 
 def cmd_enlarge(args, started: float) -> int:
-    g = load_graph(args.graph)
-    fam = load_family(args.family)
-    eg = electrify(g, fam)
+    g, _, eg = _inputs(args)
     walk = eg.graph.geodesic(args.src, args.dst)
     enlarged = enlargement(eg, walk)
     d_base = g.shortest_distance(args.src, args.dst)
@@ -276,8 +251,7 @@ def cmd_enlarge(args, started: float) -> int:
         "base_distance": int(d_base),
     }
     if args.out:
-        manifest = _manifest(args, started, inputs={"graph": args.graph, "family": args.family})
-        _write(f"{args.out}.enlarge.json", manifest, data)
+        _write(args, started, ".enlarge.json", data)
     print(
         f"enlargement {args.src} -> {args.dst}: electrified length {len(walk) - 1}, "
         f"enlarged length {len(enlarged) - 1}, base distance {int(d_base)}"
@@ -292,8 +266,7 @@ def cmd_cover(args, started: float) -> int:
     g = load_graph(args.graph)
     params = {"width": args.width} if args.width is not None else None
     cov = cover_at_scale(g, args.scale, args.strategy, params)
-    manifest = _manifest(args, started, inputs={"graph": args.graph})
-    _write(f"{args.out}.cover.json", manifest, cov.to_obj())
+    _write(args, started, ".cover.json", cov.to_obj())
     print(
         f"cover: R = {cov.R}, {len(cov.blocks)} blocks, D = {cov.D}, "
         f"multiplicity = {cov.multiplicity} (witness vertex {cov.witness}, {cov.strategy})"
@@ -306,12 +279,11 @@ def cmd_profile(args, started: float) -> int:
     scales = [int(s) for s in args.scales.split(",") if s.strip()]
     params = {"width": args.width} if args.width is not None else None
     prof = dim_profile(g, scales, args.strategy, params)
-    manifest = _manifest(args, started, inputs={"graph": args.graph})
     csv_path = f"{args.out}.profile.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(prof.to_csv())
     print(f"wrote {csv_path}")
-    _write(f"{args.out}.profile.json", manifest, prof.to_obj())
+    _write(args, started, ".profile.json", prof.to_obj())
     for row in prof.rows:
         print(f"R = {row['R']}: D = {row['D']}, multiplicity = {row['multiplicity']}")
     return 0
@@ -320,8 +292,7 @@ def cmd_profile(args, started: float) -> int:
 def cmd_bounds(args, started: float) -> int:
     rec = genus_bounds(args.genus, args.punctures)
     if args.out:
-        manifest = _manifest(args, started)
-        _write(f"{args.out}.bounds.json", manifest, rec.to_obj())
+        _write(args, started, ".bounds.json", rec.to_obj())
     for key, value in rec.to_obj().items():
         print(f"{key} = {value}")
     return 0

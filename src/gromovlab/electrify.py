@@ -243,7 +243,7 @@ def is_efficient(walk, eg: ElectrifiedGraph) -> bool:
     if not walk:
         raise ValueError("empty walk")
     for v in walk:
-        if v < 0 or v >= graph.n:
+        if check_int("walk vertex", v) < 0 or v >= graph.n:
             raise ValueError(f"walk vertex {v} not in the graph")
     for a, b in zip(walk, walk[1:]):
         if b not in graph.neighbors(a):

@@ -94,7 +94,7 @@ class EmbeddingReport:
     L_fit: float
     C_fit: float
     n_pairs: int
-    seed: int | None
+    seed: int
     violation_count: int
     records: list  # per sampled pair: [base distance, product distance]
     eg_delta: float
@@ -131,17 +131,18 @@ def qi_fit(
     y: QuasiTreeSpace,
     basepoint: int,
     pair_budget: int = 2000,
-    seed: int | None = 11,
+    seed: int = 11,
 ) -> EmbeddingReport:
     """Fit the minimal L >= 1 with d_G/L - L <= d_product <= L*d_G + L over
-    sampled base-vertex pairs; the additive constant is reported equal to L.
+    base-vertex pairs drawn from ``seed``, an integer >= 0; the additive
+    constant is reported equal to L.
 
     Also measures hyperbolicity of the electrified graph and of every member
     (flagging which parts look quasi-tree-like at desk scale), since the
     embedding is only informative when those parts are tree-like.
     """
     check_int("pair_budget", pair_budget, 1)
-    seed = None if seed is None else check_int("seed", seed, 0)
+    seed = check_int("seed", seed, 0)
     base = eg.base_graph()
     rng = np.random.default_rng(seed)
     anchor_id = _anchor_ids(eg, y, basepoint)
@@ -164,13 +165,12 @@ def qi_fit(
         if not (d_g / L_fit - C_fit - eps <= d_p <= L_fit * d_g + C_fit + eps)
     )
 
-    diag_seed = 0 if seed is None else seed
-    eg_report = _delta_diagnostic(eg.graph, diag_seed)
+    eg_report = _delta_diagnostic(eg.graph, seed)
     peripheral = {}  # one diagnostic per distinct member graph
     for c in range(len(eg.family)):
         sub = eg.intrinsic(c)[0]
         if (sub.n, sub.edges) not in peripheral:
-            peripheral[sub.n, sub.edges] = _delta_diagnostic(sub, diag_seed)
+            peripheral[sub.n, sub.edges] = _delta_diagnostic(sub, seed)
     peripheral = list(peripheral.values())
     pmax = max((rep.delta for rep in peripheral), default=0.0)
     pmode = "sampled" if any(rep.mode == "sampled" for rep in peripheral) else "exact"

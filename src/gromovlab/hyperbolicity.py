@@ -43,7 +43,6 @@ from .graphs import (
     MetricGraph,
     SizeLimitError,
     _csr,
-    _row_blocks,
     block_tree,
     check_int,
     multi_source_distances,
@@ -255,25 +254,6 @@ def _blocks(g: MetricGraph) -> list:
     return [(fmins[i], tuple(sorted(edges[i]))) for i in fmins]
 
 
-def _block_csr(k: int, edges: tuple) -> tuple:
-    """(nbrs, starts) of the block on 0..k-1 with the labelled ``edges``, as
-    ``_csr`` lays out a graph's adjacency."""
-    e = np.array(edges, dtype=np.intp)
-    ends = np.concatenate([e, e[:, ::-1]])
-    ends = ends[np.lexsort((ends[:, 1], ends[:, 0]))]
-    return ends[:, 1].copy(), np.searchsorted(ends[:, 0], np.arange(k))
-
-
-def _block_matrix(csr) -> np.ndarray:
-    """Distance matrix of the block with adjacency ``csr``, from
-    ``_bit_bfs`` passes of 64 sources."""
-    k = len(csr[1])
-    D = np.empty((k, k), dtype=np.int32)
-    for batch, rows in _row_blocks(csr, range(k)):
-        D[batch] = rows
-    return D
-
-
 def _block_witness(D: np.ndarray, t: int, work: int) -> tuple:
     """(quadruple, work): the first quadruple i<j<k<l of the block with
     distance matrix ``D`` whose defect is ``t`` > 0, or None, and ``work``
@@ -381,10 +361,11 @@ def four_point_delta(
     Exact mode refuses, with a SizeLimitError, a graph over one of the caps
     on the cells of its block matrices, its far-apart pairs per block and
     its witness work.  It takes the maximum defect over the distinct
-    labelled blocks of ``_blocks``, largest first, each scanned once by
-    ``_max_defect`` over the far-apart pairs of the block's own adjacency,
-    in tiles, with its pair and diameter exits; a graph of one block uses
-    its own ``distance_matrix``.  The witness is the lexicographically
+    labelled blocks of ``_blocks``, largest first, each built as a
+    ``MetricGraph`` in its labels (a graph of one block is used as it is)
+    and scanned once by ``_max_defect`` over the far-apart pairs of its
+    adjacency and its ``distance_matrix``, in tiles, with its pair and
+    diameter exits.  The witness is the lexicographically
     smallest quadruple of the whole graph attaining that maximum, found by
     ``_first_witness`` block by block; it may span several blocks, and on a
     graph with delta 0 it is (0, 1, 2, 3).  Reports are therefore
@@ -410,11 +391,8 @@ def four_point_delta(
         scanned = {}  # all held until the witness scan
         best = 0
         for k, edges in sorted(distinct, key=lambda key: -key[0]):
-            if k == g.n:  # the graph is one block, in its own ids
-                csr, D = _csr(g), g.distance_matrix()
-            else:
-                csr = _block_csr(k, edges)
-                D = _block_matrix(csr)
+            block = g if k == g.n else MetricGraph(k, edges)  # one block keeps its own ids
+            csr, D = _csr(block), block.distance_matrix()
             defect = _max_defect(D, csr, best)
             scanned[k, edges] = D, csr, defect, defect > best
             best = defect

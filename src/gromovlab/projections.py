@@ -157,7 +157,7 @@ def axiom_check(g: MetricGraph, fam: SubgraphFamily, theta="auto") -> AxiomRepor
     table = ProjectionTable(g, fam)
     m = len(fam)
     if m < 2:
-        raise ValueError("axiom check needs at least two family members")
+        raise ValueError("the projection constant R needs at least two family members")
 
     R_measured = 0
     kept = []  # per member c: the pairs a * m + b, a < b, with d_c(a, b) above the bound

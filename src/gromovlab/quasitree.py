@@ -25,6 +25,7 @@ import numpy as np
 from .electrify import ElectrifiedGraph, SubgraphFamily, cone_visits, electrify, is_efficient
 from .graphs import (
     MetricGraph,
+    check_int,
     check_int_pairs,
     check_real,
     graph_from_obj,
@@ -52,16 +53,16 @@ class QuasiTreeSpace:
             self.tag_to_id = {tag: i for i, tag in enumerate(self.tags)}
 
     def id_of(self, tag) -> int:
-        tag = (int(tag[0]), int(tag[1]))
+        tag = (check_int("member index", tag[0]), check_int("vertex id", tag[1]))
         if tag not in self.tag_to_id:
             raise ValueError(f"unknown tagged vertex {tag}")
         return self.tag_to_id[tag]
 
 
 def y_distance(y: QuasiTreeSpace, p, q) -> int:
-    """Graph metric of the quasi-tree; accepts tags (c, v) or raw Y ids."""
-    pid = y.id_of(p) if isinstance(p, tuple) else int(p)
-    qid = y.id_of(q) if isinstance(q, tuple) else int(q)
+    """Graph metric of the quasi-tree; accepts tags (c, v) or integer Y ids."""
+    pid = y.id_of(p) if isinstance(p, tuple) else p
+    qid = y.id_of(q) if isinstance(q, tuple) else q
     return y.graph.shortest_distance(pid, qid)
 
 
@@ -144,7 +145,7 @@ def build_quasitree(
         # one pass over the members: R, and the largest d_a(c, d) over third
         # members a (member(a) is 0 in row and column a)
         if theta == "auto" and m < 2:
-            raise ValueError("axiom check needs at least two family members")
+            raise ValueError("the projection constant R needs at least two family members")
         R, far = 0, np.zeros((m, m), dtype=np.int32)
         for a in range(m):
             M = table.member(a)

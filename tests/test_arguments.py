@@ -79,6 +79,16 @@ def test_seeds_reject_booleans_floats_and_negatives(call, value, message):
     assert message in str(info.value)
 
 
+# the calls that draw: without a seed, each call would draw differently
+DRAWING = [_delta_seed, _penetration_seed, _qi_fit_seed]
+
+
+@pytest.mark.parametrize("call", DRAWING, ids=[call.__name__[1:] for call in DRAWING])
+def test_seeds_of_sampled_work_reject_none(call):
+    with pytest.raises(ValueError, match="seed"):
+        call(None)
+
+
 def _penetration_quality(value):
     penetration_profile(electrified(1, 1, 12), L=value, samples=5, seed=0)
 

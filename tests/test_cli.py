@@ -1,6 +1,7 @@
 """Command-line entry point: artifacts, exit codes, summaries, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -12,7 +13,7 @@ from gromovlab import projections
 from gromovlab.cli import main
 from gromovlab.electrify import eg_to_obj, electrify, family_to_obj, load_eg
 from gromovlab.generators import tree_of_rings
-from gromovlab.graphs import graph_to_obj, load_graph
+from gromovlab.graphs import dump_json, graph_to_obj, load_graph
 from gromovlab.quasitree import load_quasitree
 
 
@@ -403,3 +404,88 @@ def test_reruns_are_byte_identical_after_masking_wall_time(rings, tmp_path):
 def test_version_flag(capsys):
     assert run(["--version"]) == 0
     assert capsys.readouterr().out.startswith("gromovlab ")
+
+
+# Every subcommand's artifacts on tree_of_rings(2, 3, 12): per artifact, the
+# first 16 hex digits of the sha256 of its data payload (of the whole file
+# for CSV, DOT and markdown), and per command the inputs its manifest hashes
+# and the seeds it records.  ``{graph}`` and ``{family}`` name the inputs.
+GF = ["family", "graph"]
+PINNED = {
+    "gen": (
+        ["gen", "tree-of-rings", "--depth", "2", "--valence", "3", "--ring-len", "12", "--dot"],
+        {".graph.json": "115839264e3f73cf", ".family.json": "2ed7f1a9f716d24a",
+         ".dot": "f40c04d01a98a265"},
+        [], {},
+    ),
+    "gen-tower": (
+        ["gen", "tower", "--levels", "2"],
+        {".level1.graph.json": "cb24e20be508fe43", ".level1.family.json": "6b02cc9f57394fa6",
+         ".level2.graph.json": "115839264e3f73cf", ".level2.family.json": "2ed7f1a9f716d24a"},
+        [], {},
+    ),
+    "electrify": (["electrify", "{graph}", "{family}"], {".eg.json": "a49a45155043ebfb"}, GF, {}),
+    "delta-exact": (["delta", "{graph}"], {".delta.json": "2ce91cdc8fe75451"}, ["graph"], {}),
+    "delta-sampled": (
+        ["delta", "{graph}", "--mode", "sampled", "--samples", "200", "--seed", "3"],
+        {".delta.json": "0aca8c7e058ab389"}, ["graph"], {"seed": 3},
+    ),
+    "axioms": (
+        ["axioms", "{graph}", "{family}", "--seed", "7"],
+        {".axioms.json": "fa0c45e464488f9a"}, GF, {},
+    ),
+    "quasitree": (["quasitree", "{graph}", "{family}"], {".y.json": "bdef31eead7c5835"}, GF, {}),
+    "embed": (
+        ["embed", "{graph}", "{family}", "--pairs", "200"], {".embed.json": "67da613123f7ed33"},
+        GF, {"seed": 11},
+    ),
+    "enlarge": (
+        ["enlarge", "{graph}", "{family}", "--from", "0", "--to", "50"],
+        {".enlarge.json": "eb7aca8dc02e1290"}, GF, {},
+    ),
+    "penetration": (
+        ["penetration", "{graph}", "{family}", "--samples", "10"],
+        {".penetration.json": "48f317d95d603a98"}, GF, {"seed": 0},
+    ),
+    "cover": (
+        ["cover", "{graph}", "--scale", "2"], {".cover.json": "ab6d8325ecc02b45"}, ["graph"], {},
+    ),
+    "profile": (
+        ["profile", "{graph}", "--scales", "2,4"],
+        {".profile.csv": "2dfda21e05c9b1af", ".profile.json": "b6302d78ff5caef5"}, ["graph"], {},
+    ),
+    "bounds": (["bounds", "--genus", "2"], {".bounds.json": "2f90c6948f9a49ba"}, [], {}),
+    "report": (["report", "{graph}", "{family}"], {".md": "e1da00063b0d62c1"}, [], {}),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pinned")
+    assert run(["gen", "tree-of-rings", "--depth", "2", "--valence", "3",
+                "--ring-len", "12", "--out", str(root / "tor")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_every_command_writes_its_pinned_artifacts(pinned_inputs, tmp_path, capsys, case):
+    argv, digests, inputs, seeds = PINNED[case]
+    graph, family = pinned_inputs / "tor.graph.json", pinned_inputs / "tor.family.json"
+    out = str(tmp_path / "x")
+    argv = [arg.format(graph=graph, family=family) for arg in argv]
+    assert run([*argv, "--out", out + ".md" if case == "report" else out]) == 0
+    capsys.readouterr()
+    for suffix, digest in digests.items():
+        raw = (tmp_path / f"x{suffix}").read_bytes()
+        if suffix.endswith(".json"):
+            obj = json.loads(raw)
+            assert sorted(obj) == ["data", "manifest"]
+            manifest = obj["manifest"]
+            assert sorted(manifest) == [
+                "command", "inputs_sha256", "params", "seeds", "version", "wall_time_s"
+            ]
+            assert manifest["command"] == argv[0]
+            assert sorted(manifest["inputs_sha256"]) == inputs
+            assert manifest["seeds"] == seeds
+            raw = dump_json(obj["data"]).encode("utf-8")
+        assert hashlib.sha256(raw).hexdigest()[:16] == digest, suffix

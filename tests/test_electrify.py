@@ -250,6 +250,9 @@ def test_efficiency_rejects_double_visits_and_bad_walks():
         is_efficient([member[0], member[0]], eg)
     with pytest.raises(ValueError, match="not in the graph"):
         is_efficient([eg.graph.n], eg)
+    for bad in (0.5, True, "0"):  # a one-vertex walk of a non-integer is no walk
+        with pytest.raises(ValueError, match="walk vertex must be an integer"):
+            is_efficient([bad], eg)
 
 
 def test_penetration_profile_on_rings_reports_tight_crossings():

@@ -95,7 +95,7 @@ def test_exact_mode_refuses_oversized_graphs(monkeypatch):
 def test_exact_caps_apply_per_block(monkeypatch):
     # 4096 bridges, each a block of two: delta 0, and no block needs a matrix
     long = path(4097)
-    monkeypatch.setattr(hyperbolicity, "_block_matrix", None)  # any matrix would raise
+    monkeypatch.setattr(MetricGraph, "distance_matrix", None)  # any matrix would raise
     rep = four_point_delta(long)
     assert (rep.delta, rep.witness) == (0.0, (0, 1, 2, 3))
     assert long._dist_matrix is None

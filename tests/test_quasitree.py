@@ -23,6 +23,9 @@ def test_single_member_gives_one_plain_copy():
     assert len(y.graph.edges) == 9
     assert y.cross_edges == []
     assert y.tags == [(0, v) for v in range(10)]
+    # theta "auto" comes from R, which one member does not have
+    with pytest.raises(ValueError, match="projection constant R needs at least two family members"):
+        build_quasitree(g, SubgraphFamily([range(10)]), "auto")
 
 
 def test_ring_tree_quasitree_shape():
@@ -38,6 +41,9 @@ def test_ring_tree_quasitree_shape():
         assert y.id_of(tag) == i
     with pytest.raises(ValueError, match="unknown tagged"):
         y.id_of((99, 0))
+    for tag in [(0.9, 0.2), (0, 1.0), (True, 0), ("0", 0)]:  # never truncated to (0, 0)
+        with pytest.raises(ValueError, match="must be an integer"):
+            y.id_of(tag)
 
 
 def test_intra_member_edges_are_the_induced_ring_edges():
@@ -80,6 +86,11 @@ def test_y_distance_accepts_tags_and_raw_ids():
     d = y_distance(y, tag_a, tag_b)
     assert d == y_distance(y, 0, 40)
     assert d == y.graph.shortest_distance(0, 40)
+    for raw in (1.7, "3", True, None):  # never read as id 1 or 3
+        with pytest.raises(ValueError, match="vertex id must be an integer"):
+            y_distance(y, raw, 0)
+        with pytest.raises(ValueError, match="vertex id must be an integer"):
+            y_distance(y, 0, raw)
 
 
 def test_both_rules_agree_on_the_ring_corpus():

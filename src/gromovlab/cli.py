@@ -89,11 +89,9 @@ def _write(args, started: float, suffix: str, data, seeds=None) -> None:
     print(f"wrote {path}")
 
 
-def _inputs(args) -> tuple:
-    """(graph, family, their electrification) read from ``args``."""
-    g = load_graph(args.graph)
-    fam = load_family(args.family)
-    return g, fam, electrify(g, fam)
+def _inputs(args):
+    """The electrification of the graph and family read from ``args``."""
+    return electrify(load_graph(args.graph), load_family(args.family))
 
 
 def _parse_theta(raw):
@@ -151,7 +149,7 @@ def cmd_gen(args, started: float) -> int:
 
 
 def cmd_electrify(args, started: float) -> int:
-    _, _, eg = _inputs(args)
+    eg = _inputs(args)
     _write(args, started, ".eg.json", eg_to_obj(eg))
     print(
         f"electrified: {eg.base_size} base + {len(eg.family)} cone vertices, "
@@ -161,7 +159,7 @@ def cmd_electrify(args, started: float) -> int:
 
 
 def cmd_penetration(args, started: float) -> int:
-    _, _, eg = _inputs(args)
+    eg = _inputs(args)
     rep = penetration_profile(
         eg,
         L=args.quality,
@@ -223,8 +221,10 @@ def cmd_quasitree(args, started: float) -> int:
 
 
 def cmd_embed(args, started: float) -> int:
-    g, fam, eg = _inputs(args)
-    y = build_quasitree(g, fam, _parse_theta(args.theta), rule=args.rule, with_diff=False)
+    eg = _inputs(args)
+    y = build_quasitree(
+        eg.base_graph(), eg.family, _parse_theta(args.theta), rule=args.rule, with_diff=False
+    )
     rep = qi_fit(eg, y, basepoint=args.basepoint, pair_budget=args.pairs, seed=args.seed)
     _write(args, started, ".embed.json", rep.to_obj(), {"seed": args.seed})
     print(
@@ -237,10 +237,10 @@ def cmd_embed(args, started: float) -> int:
 
 
 def cmd_enlarge(args, started: float) -> int:
-    g, _, eg = _inputs(args)
+    eg = _inputs(args)
     walk = eg.graph.geodesic(args.src, args.dst)
     enlarged = enlargement(eg, walk)
-    d_base = g.shortest_distance(args.src, args.dst)
+    d_base = eg.base_graph().shortest_distance(args.src, args.dst)
     data = {
         "src": args.src,
         "dst": args.dst,

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field, fields
+from itertools import combinations
 
 import numpy as np
 
@@ -56,6 +57,13 @@ class SubgraphFamily:
     def __getitem__(self, c: int) -> tuple:
         return self._members[c]
 
+    def check_index(self, c) -> int:
+        """``c`` as a member index: an integer in 0..m-1."""
+        c = check_int("member index", c)
+        if not 0 <= c < len(self._members):
+            raise ValueError(f"unknown member index {c} (family has {len(self._members)} members)")
+        return c
+
     def __eq__(self, other):
         if not isinstance(other, SubgraphFamily):
             return NotImplemented
@@ -72,13 +80,7 @@ class SubgraphFamily:
                 raise ValueError(f"family member {c} does not induce a connected subgraph")
 
     def is_overlapping(self) -> bool:
-        seen = set()
-        for member in self._members:
-            for v in member:
-                if v in seen:
-                    return True
-            seen.update(member)
-        return False
+        return sum(map(len, self._members)) != len(set().union(*self._members))
 
 
 def family_to_obj(fam: SubgraphFamily) -> dict:
@@ -97,72 +99,55 @@ def load_family(path) -> SubgraphFamily:
 
 
 class ElectrifiedGraph:
-    """A graph together with one cone vertex per family member.
+    """The base graph and family that ``electrify`` was given, and the graph
+    that cones them off.
 
     Cone vertex for member c has id base_size + c and is adjacent to exactly
     H_c.  The base graph is recovered by dropping all cone vertices.
     """
 
-    def __init__(self, graph: MetricGraph, base_size: int, cone_of: dict):
+    def __init__(self, base: MetricGraph, family: SubgraphFamily, graph: MetricGraph):
+        self._base = base
+        self.family = family
         self.graph = graph
-        self.base_size = int(base_size)
-        self.cone_of = dict(cone_of)
-        _validate_cone_structure(self.graph, self.base_size, self.cone_of)
+        self.base_size = base.n
         self._intrinsic_cache = {}
-        self._base = None
-        self._family = SubgraphFamily(
-            [graph.neighbors(self.cone_of[c]) for c in sorted(self.cone_of)]
-        )
-
-    @property
-    def family(self) -> SubgraphFamily:
-        return self._family
 
     def base_graph(self) -> MetricGraph:
-        if self._base is None:
-            self._base, _ = de_electrify(self)
         return self._base
 
     def is_cone(self, v: int) -> bool:
         return v >= self.base_size
 
     def cone_index(self, v: int) -> int:
-        if not self.is_cone(v):
+        v = check_int("vertex id", v)
+        if not self.base_size <= v < self.graph.n:
             raise ValueError(f"vertex {v} is not a cone vertex")
         return v - self.base_size
 
     def intrinsic(self, c: int):
         """Induced subgraph of member c in the base graph, with its id map."""
-        cached = self._intrinsic_cache.get(c)
-        if cached is None:
-            cached = self.base_graph().induced(self._family[c])
-            self._intrinsic_cache[c] = cached
-        return cached
+        c = self.family.check_index(c)
+        if c not in self._intrinsic_cache:
+            self._intrinsic_cache[c] = self._base.induced(self.family[c])
+        return self._intrinsic_cache[c]
+
+    def _member_ids(self, c: int, a: int, b: int):
+        """(induced subgraph of member c, ids of a and b in it)."""
+        sub, old_to_new = self.intrinsic(c)
+        try:
+            return sub, old_to_new[check_int("vertex id", a)], old_to_new[check_int("vertex id", b)]
+        except KeyError as exc:
+            raise ValueError(f"vertex {exc.args[0]} is not in member {c}") from None
 
     def intrinsic_distance(self, c: int, a: int, b: int) -> int:
-        sub, old_to_new = self.intrinsic(c)
-        return sub.shortest_distance(old_to_new[a], old_to_new[b])
+        sub, i, j = self._member_ids(c, a, b)
+        return sub.shortest_distance(i, j)
 
     def intrinsic_geodesic(self, c: int, a: int, b: int) -> list:
-        sub, old_to_new = self.intrinsic(c)
-        new_to_old = {i: v for v, i in old_to_new.items()}
-        return [new_to_old[x] for x in sub.geodesic(old_to_new[a], old_to_new[b])]
-
-
-def _validate_cone_structure(graph: MetricGraph, base_size: int, cone_of: dict):
-    m = graph.n - base_size
-    if m < 0:
-        raise FormatError("base_size exceeds vertex count")
-    if sorted(cone_of) != list(range(m)):
-        raise FormatError("cone indices must be dense 0..m-1")
-    for c, vc in cone_of.items():
-        if vc != base_size + c:
-            raise FormatError(f"cone vertex for member {c} must have id {base_size + c}")
-        nbrs = graph.neighbors(vc)
-        if not nbrs:
-            raise FormatError(f"cone vertex {vc} has no neighbors")
-        if any(w >= base_size for w in nbrs):
-            raise FormatError(f"cone vertex {vc} is adjacent to another cone vertex")
+        # induced() numbers the sorted member 0..k-1
+        sub, i, j = self._member_ids(c, a, b)
+        return [self.family[c][x] for x in sub.geodesic(i, j)]
 
 
 def electrify(g: MetricGraph, fam: SubgraphFamily) -> ElectrifiedGraph:
@@ -174,57 +159,72 @@ def electrify(g: MetricGraph, fam: SubgraphFamily) -> ElectrifiedGraph:
     """
     fam.validate_against(g)
     for c, member in enumerate(fam.members):
-        hset = set(member)
-        # a vertex that cones H neighbours H's first vertex
+        # a vertex that cones H neighbours H[0] and its sorted neighbours are H
         for u in g.neighbors(member[0]):
-            if u in hset or g.degree(u) != len(hset):
-                continue
-            if set(g.neighbors(u)) == hset:
+            if g.neighbors(u) == member:
                 raise ValueError(
                     f"family member {c} is already electrified (vertex {u} cones it)"
                 )
     edges = list(g.edges)
     labels = g.labels
     for c, member in enumerate(fam.members):
-        vc = g.n + c
-        labels[vc] = f"cone{c}"
-        for h in member:
-            edges.append((h, vc))
-    eg_graph = MetricGraph(g.n + len(fam), edges, labels or None)
-    return ElectrifiedGraph(eg_graph, g.n, {c: g.n + c for c in range(len(fam))})
+        labels[g.n + c] = f"cone{c}"
+        edges.extend((h, g.n + c) for h in member)
+    return ElectrifiedGraph(g, fam, MetricGraph(g.n + len(fam), edges, labels))
+
+
+def _split(graph: MetricGraph, base_size: int):
+    """(base graph, family) of a coned graph: the base is the subgraph on
+    the first ``base_size`` vertices, member c the neighbours of vertex
+    base_size + c."""
+    # edges are sorted pairs (u, v) with u < v
+    base_edges = [(u, v) for (u, v) in graph.edges if v < base_size]
+    base_labels = {v: lab for v, lab in graph.labels.items() if v < base_size}
+    base = MetricGraph(base_size, base_edges, base_labels)
+    fam = SubgraphFamily([graph.neighbors(vc) for vc in range(base_size, graph.n)])
+    return base, fam
 
 
 def de_electrify(eg: ElectrifiedGraph):
-    """Inverse of electrify: returns (base graph, family), checking that each
-    member is connected in the base graph.  Round trips exactly."""
-    graph = eg.graph
-    base_size = eg.base_size
-    base_edges = [(u, v) for (u, v) in graph.edges if u < base_size and v < base_size]
-    base_labels = {v: lab for v, lab in graph.labels.items() if v < base_size}
-    base = MetricGraph(base_size, base_edges, base_labels or None)
-    eg.family.validate_against(base)
-    return base, eg.family
+    """Inverse of electrify: the (base graph, family) read off ``eg.graph``
+    alone.  Round trips exactly."""
+    return _split(eg.graph, eg.base_size)
 
 
 def eg_to_obj(eg: ElectrifiedGraph) -> dict:
     return {
         "graph": graph_to_obj(eg.graph),
         "base_size": eg.base_size,
-        "cones": [[c, vc] for c, vc in sorted(eg.cone_of.items())],
+        "cones": [[c, eg.base_size + c] for c in range(len(eg.family))],
     }
 
 
 def eg_from_obj(obj) -> ElectrifiedGraph:
+    """The electrified graph of an ``.eg.json`` payload, accepted only if its
+    graph is exactly ``electrify`` of the base graph and family it holds."""
     obj = unwrap_payload(obj)
     if not isinstance(obj, dict) or "graph" not in obj or "base_size" not in obj:
         raise FormatError('electrified-graph JSON needs "graph", "base_size", "cones"')
     try:
         graph = graph_from_obj(obj["graph"])
         base_size = check_int("base_size", obj["base_size"], 0)
-        cone_of = dict(check_int_pairs("cones", obj.get("cones", [])))
+        cones = check_int_pairs("cones", obj.get("cones", []))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
-    return ElectrifiedGraph(graph, base_size, cone_of)
+    if base_size > graph.n:
+        raise FormatError("base_size exceeds vertex count")
+    if sorted(c for c, _ in cones) != list(range(graph.n - base_size)):
+        raise FormatError("cone indices must be dense 0..m-1")
+    for c, vc in cones:
+        if vc != base_size + c:
+            raise FormatError(f"cone vertex for member {c} must have id {base_size + c}")
+    try:
+        eg = electrify(*_split(graph, base_size))
+    except ValueError as exc:
+        raise FormatError(f"not an electrified graph: {exc}") from exc
+    if eg.graph != graph:
+        raise FormatError("graph is not the electrification of its base graph and family")
+    return eg
 
 
 def load_eg(path) -> ElectrifiedGraph:
@@ -248,17 +248,9 @@ def is_efficient(walk, eg: ElectrifiedGraph) -> bool:
     for a, b in zip(walk, walk[1:]):
         if b not in graph.neighbors(a):
             raise ValueError(f"walk step {a}->{b} is not an edge")
-    seen_cones = set()
-    for k, c in cone_visits(walk, eg):
-        if c in seen_cones:
-            return False
-        seen_cones.add(c)
-        member = set(eg.family[c])
-        if k > 0 and walk[k - 1] not in member:
-            return False
-        if k + 1 < len(walk) and walk[k + 1] not in member:
-            return False
-    return True
+    # steps are edges and a cone neighbours only its member: entries are clean
+    cones = [c for _, c in cone_visits(walk, eg)]
+    return len(cones) == len(set(cones))
 
 
 @dataclass
@@ -371,23 +363,15 @@ def penetration_profile(
         by_cone = {}
         for path_ in paths:
             for k, c in cone_visits(path_, eg):
-                entry, exit_ = path_[k - 1], path_[k + 1]
-                by_cone.setdefault(c, []).append((entry, exit_))
+                by_cone.setdefault(c, []).append((path_[k - 1], path_[k + 1]))
         for c in sorted(by_cone):
             crossings = by_cone[c]
             depth = max(eg.intrinsic_distance(c, a, b) for a, b in crossings)
             if depth < deep_threshold:
                 continue
-            spread = 0
-            for i in range(len(crossings)):
-                for j in range(i + 1, len(crossings)):
-                    e1, x1 = crossings[i]
-                    e2, x2 = crossings[j]
-                    spread = max(
-                        spread,
-                        eg.intrinsic_distance(c, e1, e2),
-                        eg.intrinsic_distance(c, x1, x2),
-                    )
+            # entry to entry and exit to exit, for every two crossings
+            ends = [pq for two in combinations(crossings, 2) for pq in zip(*two)]
+            spread = max((eg.intrinsic_distance(c, p, q) for p, q in ends), default=0)
             missed = len(paths) - len(crossings)
             missed_total += missed
             p_estimate = max(p_estimate, spread)

@@ -110,6 +110,7 @@ class ProjectionTable:
 def triple_distance(g: MetricGraph, fam: SubgraphFamily, a: int, b: int, c: int) -> int:
     """Diameter of the union of the projections of members b and c into member
     a; symmetric in (b, c)."""
+    a, b, c = (fam.check_index(x) for x in (a, b, c))
     if len({a, b, c}) != 3:
         raise ValueError("triple distance needs three distinct member indices")
     return int(ProjectionTable(g, fam).member(a)[b, c])

@@ -69,6 +69,7 @@ def y_distance(y: QuasiTreeSpace, p, q) -> int:
 def wide_points(eg: ElectrifiedGraph, walk, theta: float) -> list:
     """Cone visits of an efficient walk whose entry/exit points are at
     intrinsic member distance >= theta, as (position, member index)."""
+    theta = check_real("theta", theta)
     if not is_efficient(walk, eg):
         raise ValueError("wide points are only defined for efficient walks")
     out = []

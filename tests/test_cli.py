@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gromovlab import projections
+from gromovlab import graphs, projections
 from gromovlab.cli import main
 from gromovlab.electrify import eg_to_obj, electrify, family_to_obj, load_eg
 from gromovlab.generators import tree_of_rings
@@ -298,6 +298,25 @@ def test_quasitree_and_embed_label_each_member_once(tmp_path, monkeypatch, comma
     assert run(argv + (["--pairs", "50"] if command == "embed" else [])) == 0
     _, fam = tree_of_rings(3, 3, 12)
     assert sorted(calls) == sorted(fam.members)
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [("embed", ["--pairs", "50"]), ("enlarge", ["--from", "0", "--to", "132"]), ("penetration", [])],
+)
+def test_electrified_commands_build_the_base_graph_once(rings, tmp_path, monkeypatch, command, extra):
+    # the base graph is the loaded one: electrify keeps it, nothing rebuilds it
+    sizes = []
+    original = graphs.MetricGraph.__init__
+
+    def counted(self, n, edges, labels=None):
+        sizes.append(n)
+        original(self, n, edges, labels)
+
+    monkeypatch.setattr(graphs.MetricGraph, "__init__", counted)
+    graph, family = rings
+    assert run([command, graph, family, *extra, "--out", str(tmp_path / "x")]) == 0
+    assert sizes.count(133) == 1
 
 
 def test_electrify_and_downstream_stages(rings, tmp_path, capsys):

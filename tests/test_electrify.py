@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from _corpus import connected_graphs, electrified, family_instance, ring_instance
 from _oracles import _dijkstra_path, to_networkx
 from gromovlab.electrify import (
-    ElectrifiedGraph,
     FormatError,
     SubgraphFamily,
     _astar_path,
@@ -80,7 +79,7 @@ def test_electrify_adds_one_labeled_cone_per_member():
     assert eg.graph.n == g.n + len(fam)
     assert len(eg.graph.edges) == len(g.edges) + sum(len(m) for m in fam.members)
     for c, member in enumerate(fam.members):
-        vc = eg.cone_of[c]
+        vc = eg.base_size + c
         assert vc == g.n + c
         assert eg.graph.label(vc) == f"cone{c}"
         assert eg.graph.neighbors(vc) == member
@@ -137,6 +136,37 @@ def test_base_graph_is_cached_and_correct():
     assert eg.base_graph() is eg.base_graph()
 
 
+def test_electrify_keeps_its_inputs():
+    g, fam = ring_instance(2, 3, 12)
+    eg = electrify(g, fam)
+    assert eg.base_graph() is g
+    assert eg.family is fam
+
+
+def test_accessors_refuse_bad_members_and_vertices():
+    eg = electrified(2, 3, 12)
+    m = len(eg.family)
+    outside = next(v for v in range(eg.base_size) if v not in eg.family[0])
+    for c in (-1, m):
+        with pytest.raises(ValueError, match=f"unknown member index {c}"):
+            eg.intrinsic(c)
+    for c in (1.0, True, "0"):
+        with pytest.raises(ValueError, match="member index must be an integer"):
+            eg.intrinsic_distance(c, *eg.family[0][:2])
+    with pytest.raises(ValueError, match="vertex 999 is not in member 0"):
+        eg.intrinsic_distance(0, 999, eg.family[0][0])
+    with pytest.raises(ValueError, match=f"vertex {outside} is not in member 0"):
+        eg.intrinsic_geodesic(0, eg.family[0][0], outside)
+    with pytest.raises(ValueError, match="vertex id must be an integer"):
+        eg.intrinsic_distance(0, eg.family[0][0], 0.5)
+    with pytest.raises(ValueError, match="vertex id must be an integer"):
+        eg.cone_index(eg.base_size + 0.5)
+    for v in (0, eg.graph.n):
+        with pytest.raises(ValueError, match=f"vertex {v} is not a cone vertex"):
+            eg.cone_index(v)
+    assert eg.cone_index(eg.graph.n - 1) == m - 1
+
+
 def test_intrinsic_member_distances_ignore_the_rest_of_the_graph():
     eg = electrified(2, 3, 12)
     member = eg.family[0]
@@ -186,10 +216,40 @@ def test_eg_loader_rejects_mistyped_base_size(base_size):
 
 def test_cone_to_cone_edges_are_rejected():
     # two cones over adjacent singletons, plus a forged cone-cone edge
-    edges = [(0, 1), (0, 2), (1, 3), (2, 3)]
-    g = MetricGraph(4, edges)
-    with pytest.raises(FormatError, match="another cone"):
-        ElectrifiedGraph(g, 2, {0: 2, 1: 3})
+    forged = {
+        "graph": {"n": 4, "edges": [[0, 1], [0, 2], [1, 3], [2, 3]]},
+        "base_size": 2,
+        "cones": [[0, 2], [1, 3]],
+    }
+    with pytest.raises(FormatError, match="member 0 references unknown vertex 3"):
+        eg_from_obj(forged)
+
+
+def _relabelled_cone(obj):
+    obj["graph"]["labels"][str(obj["base_size"])] = "not a cone"
+    return obj
+
+
+@pytest.mark.parametrize(
+    "forged,message",
+    [
+        # the base graph, vertices 0 and 1, has no edge
+        ({"graph": {"n": 3, "edges": [[0, 2], [1, 2]]}, "base_size": 2, "cones": [[0, 2]]},
+         "disconnected"),
+        # the member {0, 2} is disconnected in the base path 0 - 1 - 2
+        ({"graph": {"n": 4, "edges": [[0, 1], [1, 2], [0, 3], [2, 3]]}, "base_size": 3,
+          "cones": [[0, 3]]}, "member 0 does not induce a connected subgraph"),
+        # base vertex 2 already cones the member {0, 1}
+        ({"graph": {"n": 4, "edges": [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3]]}, "base_size": 3,
+          "cones": [[0, 3]]}, r"member 0 is already electrified \(vertex 2 cones it\)"),
+        (_relabelled_cone(eg_to_obj(electrify(*ring_instance(1, 1, 12)))),
+         "not the electrification of its base graph and family"),
+    ],
+    ids=["disconnected-base", "disconnected-member", "coned-member", "cone-label"],
+)
+def test_eg_loader_accepts_only_an_electrification(forged, message):
+    with pytest.raises(FormatError, match=message):
+        eg_from_obj(forged)
 
 
 def test_eg_file_round_trip(tmp_path):
@@ -199,7 +259,7 @@ def test_eg_file_round_trip(tmp_path):
     back = load_eg(target)
     assert back.graph == eg.graph
     assert back.base_size == eg.base_size
-    assert back.cone_of == eg.cone_of
+    assert back.family == eg.family
 
 
 def test_electrified_distances_never_exceed_base_distances():
@@ -222,7 +282,7 @@ def test_electrified_diameter_stays_linear_in_depth(depth, expected):
 def test_cone_visits_lists_positions_and_members():
     eg = electrified(1, 1, 12)
     member = eg.family[0]
-    vc = eg.cone_of[0]
+    vc = eg.base_size  # the cone of member 0
     walk = [member[0], vc, member[3]]
     assert cone_visits(walk, eg) == [(1, 0)]
     assert cone_visits([member[0], member[1]], eg) == []
@@ -241,7 +301,7 @@ def test_canonical_geodesics_are_efficient():
 def test_efficiency_rejects_double_visits_and_bad_walks():
     eg = electrified(1, 1, 12)
     member = eg.family[0]
-    vc = eg.cone_of[0]
+    vc = eg.base_size  # the cone of member 0
     double = [member[0], vc, member[2], vc, member[4]]
     assert is_efficient(double, eg) is False
     with pytest.raises(ValueError, match="empty"):

@@ -92,7 +92,7 @@ def test_qi_fit_is_deterministic():
 def test_qi_fit_report_is_pinned_byte_for_byte():
     # pinned values: a change to the order of the rng draws changes them
     g, fam, _, _, _ = quasitree_setup(2, 3, 12)
-    eg = electrify(g, fam)  # cold row caches
+    eg = electrify(g, fam)  # the coned graph starts with a cold row cache
     y = build_quasitree(g, fam, 3.0)
     obj = qi_fit(eg, y, basepoint=0, pair_budget=500, seed=4).to_obj()
     assert (obj["n_pairs"], obj["L_fit"], obj["violation_count"]) == (497, 7 / 3, 0)
@@ -148,7 +148,7 @@ def test_enlargement_is_short_on_every_pair():
 
 def test_enlargement_validation():
     g, fam, eg, _, _ = quasitree_setup(2, 3, 12)
-    vc = eg.cone_of[0]
+    vc = eg.base_size + 0
     member = fam.members[0]
     with pytest.raises(ValueError, match="empty"):
         enlargement(eg, [])

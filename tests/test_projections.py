@@ -97,6 +97,13 @@ def test_triple_distance_is_symmetric_and_matches_the_oracle():
         assert got == orc.triple_oracle(D, members, a, b, c)
     with pytest.raises(ValueError, match="distinct"):
         triple_distance(g, fam, 1, 1, 2)
+    m = len(fam)
+    for bad in (-1, m, 99):
+        with pytest.raises(ValueError, match=f"unknown member index {bad}"):
+            triple_distance(g, fam, 0, 1, bad)
+    for bad in (2.0, True, "2", None):
+        with pytest.raises(ValueError, match="member index must be an integer"):
+            triple_distance(g, fam, bad, 0, 1)
 
 
 def test_axiom_check_on_the_small_ring_tree():

@@ -143,6 +143,9 @@ def test_wide_points_flags_deep_cone_crossings():
     walk = eg.graph.geodesic(0, far)
     assert wide_points(eg, walk, 3.0) == [(1, 0), (3, 3)]
     assert wide_points(eg, walk, 100.0) == []
+    for theta in (float("nan"), float("inf"), 0.0, True, "3"):
+        with pytest.raises(ValueError, match="theta"):
+            wide_points(eg, walk, theta)
 
 
 def test_y_json_round_trip():

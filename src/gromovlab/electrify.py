@@ -357,7 +357,7 @@ def penetration_profile(
         for _ in range(alternates):
             weights = rng.uniform(1.0, hi, len(graph.edges)).tolist()
             cand = _astar_path(nbrs, weights, hops, u, v)
-            if len(cand) - 1 <= L * d_eg + L and is_efficient(cand, eg):
+            if len(cand) - 1 <= L * d_eg + L:
                 paths.append(cand)
         # deep crossings: compare entry/exit points across all sampled paths
         by_cone = {}

@@ -35,6 +35,7 @@ def cone_exit_anchor(eg: ElectrifiedGraph, basepoint: int, target: int) -> tuple
     basepoint to ``target`` last exits a cone; basepoint's own tag if the
     geodesic crosses no cone."""
     base_tag = _basepoint_tag(eg, basepoint)
+    target = check_int("target", target)
     if target < 0 or target >= eg.base_size:
         raise ValueError(f"target {target} is not a base vertex")
     walk = eg.graph.geodesic(basepoint, target)

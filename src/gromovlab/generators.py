@@ -84,21 +84,11 @@ def ring_subdivide(g: MetricGraph, ring_len: int):
     next_id = g.n
     for (u, v) in g.edges:
         # one arc of length `half`, the complementary arc of length ring_len - half
-        ring = [u, v]
-        prev = u
-        for _ in range(half - 1):
-            edges.append((prev, next_id))
-            ring.append(next_id)
-            prev = next_id
-            next_id += 1
-        edges.append((prev, v))
-        prev = v
-        for _ in range(ring_len - half - 1):
-            edges.append((prev, next_id))
-            ring.append(next_id)
-            prev = next_id
-            next_id += 1
-        edges.append((prev, u))
+        arc1 = range(next_id, next_id + half - 1)
+        arc2 = range(arc1.stop, next_id + ring_len - 2)
+        next_id = arc2.stop
+        ring = [u, *arc1, v, *arc2]
+        edges += zip(ring, ring[1:] + ring[:1])
         members.append(sorted(ring))
     labels = g.labels or None
     return MetricGraph(next_id, edges, labels), SubgraphFamily(members)

@@ -17,7 +17,6 @@ builder can diff the two edge sets instead of silently reconciling them.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +52,8 @@ class QuasiTreeSpace:
             self.tag_to_id = {tag: i for i, tag in enumerate(self.tags)}
 
     def id_of(self, tag) -> int:
+        if not isinstance(tag, tuple) or len(tag) != 2:
+            raise ValueError(f"tag must be a pair (member index, vertex id), got {tag!r:.60}")
         tag = (check_int("member index", tag[0]), check_int("vertex id", tag[1]))
         if tag not in self.tag_to_id:
             raise ValueError(f"unknown tagged vertex {tag}")
@@ -82,39 +83,24 @@ def wide_points(eg: ElectrifiedGraph, walk, theta: float) -> list:
 
 
 def _exists_narrow_geodesic(eg: ElectrifiedGraph, u: int, w: int, theta: float) -> bool:
-    """Is there a geodesic in the electrified graph from u to w none of whose
-    cone visits is wide?  Decided exactly over the geodesic DAG with
-    (previous, current) states, since wideness depends on both neighbors."""
-    if u == w:
-        return True
+    """Does a geodesic of the electrified graph from base vertex u to w cross
+    no cone widely?  Decided exactly, level by level over the geodesic DAG,
+    on (previous, current) states: wideness depends on both neighbors."""
     graph = eg.graph
     du = graph.distances_from(u)
-    dw = graph.distances_from(w)
-    total = du[w]
-    on_geo = (du + dw == total).tolist()
-
-    def steps(a):
-        da = du[a]
-        for b in graph.neighbors(a):
-            if on_geo[b] and du[b] == da + 1:
-                yield b
-
-    seen = set()
-    queue = deque((u, b) for b in steps(u))
-    while queue:
-        a, b = queue.popleft()
-        if b == w:
-            return True
-        if (a, b) in seen:
-            continue
-        seen.add((a, b))
-        for c in steps(b):
-            if eg.is_cone(b):
-                idx = eg.cone_index(b)
-                if eg.intrinsic_distance(idx, a, c) >= theta:
+    on_geo = (du + graph.distances_from(w) == du[w]).tolist()
+    level = {(None, u)}
+    for k in range(1, int(du[w]) + 1):
+        step = set()
+        for a, b in level:
+            for c in graph.neighbors(b):
+                if not on_geo[c] or du[c] != k:
                     continue
-            queue.append((b, c))
-    return False
+                if eg.is_cone(b) and eg.intrinsic_distance(eg.cone_index(b), a, c) >= theta:
+                    continue
+                step.add((b, c))
+        level = step
+    return bool(level)
 
 
 def build_quasitree(
@@ -139,59 +125,46 @@ def build_quasitree(
     if rule not in RULES:
         raise ValueError(f"unknown cross-edge rule {rule!r}")
     table = ProjectionTable(g, fam)
-    members = [list(m) for m in fam.members]
-    m = len(members)
-    need_proj = rule == "projection" or with_diff
-    if theta == "auto" or need_proj:
-        # one pass over the members: R, and the largest d_a(c, d) over third
-        # members a (member(a) is 0 in row and column a)
-        if theta == "auto" and m < 2:
-            raise ValueError("the projection constant R needs at least two family members")
-        R, far = 0, np.zeros((m, m), dtype=np.int32)
-        for a in range(m):
-            M = table.member(a)
-            R = max(R, int(M.diagonal().max()))
-            np.maximum(far, M, out=far)
-        if theta == "auto":
-            theta = auto_theta(R)
+    m = len(fam)
+    if theta == "auto" and m < 2:
+        raise ValueError("the projection constant R needs at least two family members")
+    # one pass over the members: the largest d_a(c, d) over third members a
+    # (member(a) is 0 in row and column a); its diagonal holds the largest
+    # projection diameters, so R is its diagonal maximum
+    far = np.zeros((m, m), dtype=np.int32)
+    for a in range(m):
+        np.maximum(far, table.member(a), out=far)
+    if theta == "auto":
+        theta = auto_theta(int(far.diagonal().max()))
 
-    tags = [(c, v) for c in range(m) for v in members[c]]
+    tags = [(c, v) for c in range(m) for v in fam[c]]
     tag_to_id = {tag: i for i, tag in enumerate(tags)}
 
     edges = []
-    for c, member in enumerate(members):
-        inside = set(member)
+    for c, member in enumerate(fam.members):
         for a in member:
             for b in g.neighbors(a):
-                if a < b and b in inside:
+                if a < b and (c, b) in tag_to_id:
                     edges.append((tag_to_id[(c, a)], tag_to_id[(c, b)]))
 
     # projection anchor points: id-minimal at minimal distance to the partner
     anchor = [table.anchors(c).tolist() for c in range(m)] if m > 1 else []
 
-    def projection_pairs():
-        # (c, d) is kept unless some third member a has d_a(c, d) >= 2 * theta
-        rows, cols = np.triu_indices(m, 1)
-        keep = far[rows, cols] < 2 * theta
-        return set(zip(rows[keep].tolist(), cols[keep].tolist()))
-
-    need_wide = rule == "widepoint" or with_diff
-    eg = electrify(g, fam) if need_wide else None
-
-    def widepoint_pairs():
-        out = set()
-        for c in range(m):
-            for d in range(c + 1, m):
-                if _exists_narrow_geodesic(eg, anchor[c][d], anchor[d][c], theta):
-                    out.add((c, d))
-        return out
-
-    proj_pairs = projection_pairs() if need_proj else None
-    wide_pairs = widepoint_pairs() if need_wide else None
-    chosen = proj_pairs if rule == "projection" else wide_pairs
+    # (c, d) is kept unless some third member a has d_a(c, d) >= 2 * theta
+    rows, cols = np.triu_indices(m, 1)
+    keep = far[rows, cols] < 2 * theta
+    pairs = {"projection": set(zip(rows[keep].tolist(), cols[keep].tolist()))}
+    if rule == "widepoint" or with_diff:
+        eg = electrify(g, fam)
+        pairs["widepoint"] = {
+            (c, d)
+            for c in range(m)
+            for d in range(c + 1, m)
+            if _exists_narrow_geodesic(eg, anchor[c][d], anchor[d][c], theta)
+        }
 
     cross = []
-    for (c, d) in sorted(chosen):
+    for (c, d) in sorted(pairs[rule]):
         x_cd = anchor[c][d]
         x_dc = anchor[d][c]
         edges.append((tag_to_id[(c, x_cd)], tag_to_id[(d, x_dc)]))
@@ -199,10 +172,11 @@ def build_quasitree(
 
     diff = None
     if with_diff:
+        proj, wide = pairs["projection"], pairs["widepoint"]
         diff = {
-            "projection_only": sorted(list(p) for p in proj_pairs - wide_pairs),
-            "widepoint_only": sorted(list(p) for p in wide_pairs - proj_pairs),
-            "common": len(proj_pairs & wide_pairs),
+            "projection_only": sorted(list(p) for p in proj - wide),
+            "widepoint_only": sorted(list(p) for p in wide - proj),
+            "common": len(proj & wide),
         }
 
     labels = {tag_to_id[(c, v)]: f"{c}:{v}" for (c, v) in tags}

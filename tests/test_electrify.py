@@ -372,6 +372,27 @@ def test_astar_returns_the_dijkstra_path(g, data, hi):
     assert total == pytest.approx(nx.dijkstra_path_length(h, source, target, "w"), rel=1e-12)
 
 
+@pytest.mark.parametrize("L", [1.0, 1.5, 3.0])
+def test_astar_reroutes_are_efficient(L):
+    # penetration_profile keeps a reroute without testing is_efficient: each
+    # settled vertex's prev chain strictly decreases in weight, so the walk is
+    # simple and visits each cone at most once
+    hi = max(L, 1.0 + 1e-6)
+    arcs = (cycle(12), SubgraphFamily([range(0, 5), range(4, 9), [8, 9, 10, 11, 0]]))
+    for eg in (electrified(1, 1, 12), electrified(2, 3, 12), electrified(2, 2, 7), electrify(*arcs)):
+        graph = eg.graph
+        index = {e: i for i, e in enumerate(graph.edges)}
+        nbrs = [tuple((w, index[(x, w) if x < w else (w, x)]) for w in graph.neighbors(x))
+                for x in range(graph.n)]
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            for _ in range(20):
+                u, v = (int(x) for x in rng.integers(eg.base_size, size=2))
+                hops = graph.distances_from(v).tolist()
+                weights = rng.uniform(1.0, hi, len(graph.edges)).tolist()
+                assert is_efficient(_astar_path(nbrs, weights, hops, u, v), eg)
+
+
 @pytest.mark.parametrize(
     "L,seed,digest",
     [(1.5, 1, "0b06b082109f7217"), (1.5, 7, "dd9c3e657a87c6c2"), (1.0, 1, "ff156575326d2775")],

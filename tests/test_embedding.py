@@ -42,6 +42,8 @@ def test_anchor_validation():
     g, fam, eg = quasitree_setup(2, 3, 12)[:3]
     with pytest.raises(ValueError, match="not a base vertex"):
         cone_exit_anchor(eg, 0, eg.graph.n - 1)
+    with pytest.raises(ValueError, match="target must be an integer"):
+        cone_exit_anchor(eg, 0, "3")
 
 
 def test_qi_fit_on_the_small_ring_tree():

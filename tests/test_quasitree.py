@@ -1,11 +1,14 @@
 """Quasi-tree of member copies: tags, cross edges, rules, serialization."""
 
+import hashlib
+
 import pytest
 
 import _oracles as orc
-from _corpus import FAMILY_NAMES, family_instance, quasitree_setup
+from _corpus import FAMILY_NAMES, family_instance, quasitree_setup, ring_instance
 from gromovlab.electrify import SubgraphFamily
 from gromovlab.generators import cycle, path
+from gromovlab.graphs import dump_json
 from gromovlab.projections import axiom_check, project
 from gromovlab.quasitree import (
     build_quasitree,
@@ -44,6 +47,11 @@ def test_ring_tree_quasitree_shape():
     for tag in [(0.9, 0.2), (0, 1.0), (True, 0), ("0", 0)]:  # never truncated to (0, 0)
         with pytest.raises(ValueError, match="must be an integer"):
             y.id_of(tag)
+    for tag in [(0, 1, 2), (0, 1, "x"), (0,), (), [0, 1]]:  # never read as (0, 1)
+        with pytest.raises(ValueError, match="must be a pair"):
+            y.id_of(tag)
+    with pytest.raises(ValueError, match="must be a pair"):
+        y_distance(y, (), 0)
 
 
 def test_intra_member_edges_are_the_induced_ring_edges():
@@ -218,3 +226,47 @@ def test_build_rejects_a_non_finite_theta(theta):
     fam = SubgraphFamily([range(5), range(4, 10)])
     with pytest.raises(ValueError, match="finite positive"):
         build_quasitree(g, fam, theta)
+
+
+ARCS_OF_C12 = [range(0, 5), range(4, 9), [8, 9, 10, 11, 0]]
+
+
+# first 16 hex digits of the sha256 of dump_json(y_to_obj(y)); None where the
+# projection rule leaves the arcs unglued
+@pytest.mark.parametrize(
+    "name,theta,rule,with_diff,digest",
+    [
+        ("rings-2-3-12", "auto", "projection", True, "bdef31eead7c5835"),
+        ("rings-2-3-12", "auto", "projection", False, "4886ab676bc8336e"),
+        ("rings-2-3-12", "auto", "widepoint", True, "1462d804f09fce16"),
+        ("rings-2-3-12", "auto", "widepoint", False, "670c7ede76bdf6f3"),
+        ("rings-2-3-12", 1.0, "projection", True, "016e805494818016"),
+        ("rings-2-3-12", 1.0, "projection", False, "553d9d2831e04db6"),
+        ("rings-2-3-12", 1.0, "widepoint", True, "231d3941889b3231"),
+        ("rings-2-3-12", 1.0, "widepoint", False, "0f1e8b161ea2a326"),
+        ("rings-2-3-12", 10.0, "projection", True, "8d94443227c80ef6"),
+        ("rings-2-3-12", 10.0, "projection", False, "fdc7136977ff7339"),
+        ("rings-2-3-12", 10.0, "widepoint", True, "11c04066f23c33d0"),
+        ("rings-2-3-12", 10.0, "widepoint", False, "0ebc4ee176dfdc3d"),
+        ("arcs-12", "auto", "projection", True, "5c5d8365bc6eb030"),
+        ("arcs-12", "auto", "projection", False, "ca23bfd0171c0c62"),
+        ("arcs-12", "auto", "widepoint", True, "696ec1052b63a939"),
+        ("arcs-12", "auto", "widepoint", False, "039cf4609d57066e"),
+        ("arcs-12", 1.0, "projection", True, None),
+        ("arcs-12", 1.0, "projection", False, None),
+        ("arcs-12", 1.0, "widepoint", True, "f24d66b2be4f0d47"),
+        ("arcs-12", 1.0, "widepoint", False, "f3aeda9d70643b70"),
+        ("arcs-12", 10.0, "projection", True, "c1dc184871fd1c26"),
+        ("arcs-12", 10.0, "projection", False, "8b739ebe8291a116"),
+        ("arcs-12", 10.0, "widepoint", True, "14db3142c479368f"),
+        ("arcs-12", 10.0, "widepoint", False, "0fd144654ec15908"),
+    ],
+)
+def test_the_quasitree_payload_matrix_is_pinned(name, theta, rule, with_diff, digest):
+    g, fam = ring_instance(2, 3, 12) if name == "rings-2-3-12" else (cycle(12), SubgraphFamily(ARCS_OF_C12))
+    if digest is None:
+        with pytest.raises(ValueError, match=f"quasi-tree is not connected at theta={theta}"):
+            build_quasitree(g, fam, theta, rule=rule, with_diff=with_diff)
+        return
+    y = build_quasitree(g, fam, theta, rule=rule, with_diff=with_diff)
+    assert hashlib.sha256(dump_json(y_to_obj(y)).encode()).hexdigest()[:16] == digest

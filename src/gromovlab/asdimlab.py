@@ -17,6 +17,8 @@ import numpy as np
 
 from .graphs import (
     MetricGraph,
+    _bit_bfs,
+    _csr,
     check_int,
     check_int_lists,
     dilation,
@@ -136,7 +138,10 @@ def cover_at_scale(g: MetricGraph, R: int, strategy: str, params=None) -> Cover:
       tie-break, then a merge pass (each cell, in net order, joins the
       earliest block within 2R whose union stays within diameter 8R) and a
       greedy coloring of the block-adjacency-within-2R graph as the
-      multiplicity certificate.
+      multiplicity certificate.  The merge decides most unions from the
+      cell's net-point row (the block's farthest vertex from it, plus the
+      cell's radius) and asks a capped ``set_diameter`` only when that bound
+      cannot decide.
     """
     R = check_int("scale R", R, 1)
 
@@ -167,19 +172,36 @@ def cover_at_scale(g: MetricGraph, R: int, strategy: str, params=None) -> Cover:
                 covered[dilation(g, [v], 2 * R)] = True
         # v's cell is its least-id nearest net point: net is sorted, so that
         # is the lowest set bit of v's nearest_points label
-        _, labels = nearest_points(g, net)
+        dist, labels = nearest_points(g, net)
         cells = [[] for _ in net]
         for v, mask in enumerate(labels):
             cells[(mask & -mask).bit_length() - 1].append(v)
+        del labels  # up to |net| bits per vertex, not held through the merge
         # merge pass: Voronoi fragments (cells in net order) join the earliest
         # block within 2R whose union still fits the 8R diameter cap; this
-        # heals the fragmentation around high-valence junctions
+        # heals the fragmentation around high-valence junctions.  Every block
+        # fits the cap, and so does a cell (it lies within r <= 2R of its net
+        # point p), so a union fits iff each cell vertex is within the cap of
+        # each block vertex.  With e the block's largest distance from p, read
+        # from p's capped row, e > cap rejects and e + r <= cap accepts; only
+        # the rest ask set_diameter.  The rows come from one _bit_bfs pass
+        # per 64 net points, computed when a cell of the batch first meets a
+        # block and dropped with the batch.
         cap = 8 * R
         where = np.full(g.n, -1, dtype=np.intp)  # vertex -> block, -1 unplaced
         blocks = []
-        for cell in cells:
-            for bi in sorted(set(where[dilation(g, cell, 2 * R)].tolist()) - {-1}):
-                if set_diameter(g, blocks[bi] + cell, cap) <= cap:
+        rows = None
+        for i, cell in enumerate(cells):
+            if i % 64 == 0:
+                rows = None
+            near = sorted(set(where[dilation(g, cell, 2 * R)].tolist()) - {-1})
+            if near and rows is None:
+                a = i - i % 64
+                rows = _bit_bfs(_csr(g), net[a:a + 64], np.arange(g.n), cap)
+            r = int(dist[cell].max())
+            for bi in near:
+                e = int(rows[i % 64, blocks[bi]].max())
+                if e <= cap and (e + r <= cap or set_diameter(g, blocks[bi] + cell, cap) <= cap):
                     blocks[bi] += cell
                     break
             else:

@@ -366,12 +366,16 @@ def penetration_profile(
                 by_cone.setdefault(c, []).append((path_[k - 1], path_[k + 1]))
         for c in sorted(by_cone):
             crossings = by_cone[c]
-            depth = max(eg.intrinsic_distance(c, a, b) for a, b in crossings)
+            # entry and exit points neighbour cone c, so they are members of c
+            # and have ids in its induced subgraph
+            sub, ids = eg.intrinsic(c)
+            inner = [(ids[a], ids[b]) for a, b in crossings]
+            depth = max(int(sub.distances_from(i)[j]) for i, j in inner)
             if depth < deep_threshold:
                 continue
             # entry to entry and exit to exit, for every two crossings
-            ends = [pq for two in combinations(crossings, 2) for pq in zip(*two)]
-            spread = max((eg.intrinsic_distance(c, p, q) for p, q in ends), default=0)
+            ends = [ij for two in combinations(inner, 2) for ij in zip(*two)]
+            spread = max((int(sub.distances_from(i)[j]) for i, j in ends), default=0)
             missed = len(paths) - len(crossings)
             missed_total += missed
             p_estimate = max(p_estimate, spread)

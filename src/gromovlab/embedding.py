@@ -34,6 +34,7 @@ def cone_exit_anchor(eg: ElectrifiedGraph, basepoint: int, target: int) -> tuple
     """Tagged quasi-tree vertex where the canonical geodesic from the
     basepoint to ``target`` last exits a cone; basepoint's own tag if the
     geodesic crosses no cone."""
+    basepoint = check_int("basepoint", basepoint)
     base_tag = _basepoint_tag(eg, basepoint)
     target = check_int("target", target)
     if target < 0 or target >= eg.base_size:

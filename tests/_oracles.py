@@ -113,6 +113,33 @@ def multiplicity_oracle(D, blocks, R):
     return best, counts.index(best)
 
 
+def net_voronoi_blocks_oracle(D, R):
+    """Blocks of the net-Voronoi cover at scale R, with the diameter of every
+    candidate union computed outright: the greedy 2R-net in id order, each
+    vertex in the cell of its least-id nearest net point, then each cell in
+    net order joins the earliest block within 2R of it whose union with the
+    cell has diameter <= 8R, or starts a block of its own."""
+    n = D.shape[0]
+    net = []
+    for v in range(n):
+        if all(D[v][s] > 2 * R for s in net):
+            net.append(v)
+    cells = {s: [] for s in net}
+    for v in range(n):
+        cells[min(net, key=lambda s: (D[v][s], s))].append(v)
+    blocks = []
+    for s in net:
+        cell = cells[s]
+        for block in blocks:
+            near = any(D[u][v] <= 2 * R for u in block for v in cell)
+            if near and set_diameter_oracle(D, block + cell) <= 8 * R:
+                block += cell
+                break
+        else:
+            blocks.append(cell)
+    return [tuple(sorted(b)) for b in blocks]
+
+
 def triple_oracle(D, members, a, b, c):
     """Diameter of the union of projections of members b and c into member a."""
     ha = list(members[a])

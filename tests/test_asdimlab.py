@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import _oracles as orc
 from _corpus import connected_graphs, quasitree_setup, small
+from gromovlab import asdimlab, graphs
 from gromovlab.asdimlab import (
     SCALE_NOTE,
     Cover,
@@ -126,7 +127,7 @@ def test_net_voronoi_cover_structure():
     for R in (1, 2, 4):
         cov = cover_at_scale(g, R, "net_voronoi")
         blocks_partition(g, cov)
-        assert cov.D <= 8 * R or len(cov.blocks) == 1
+        assert cov.D <= 8 * R  # every block fits the cap, which the merge relies on
         net = cov.meta["net"]
         assert net, "net must be nonempty"
         # net points are pairwise more than 2R apart
@@ -204,6 +205,39 @@ def test_net_voronoi_net_and_cells_match_the_distance_matrix(g, k, R):
         # v's cell is its least-id nearest net point's, and blocks are unions of cells
         owner = min(net, key=lambda s: (D[v][s], s))
         assert where[v] == where[owner]
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_graphs(), st.integers(1, 4), st.integers(1, 3))
+def test_net_voronoi_blocks_match_the_merge_oracle(g, k, R):
+    # the row bounds decide most unions without set_diameter; the oracle
+    # measures every candidate union, so both must build the same blocks
+    g = subdivided(g, k)
+    cov = cover_at_scale(g, R, "net_voronoi")
+    assert list(cov.blocks) == orc.net_voronoi_blocks_oracle(orc.distance_matrix(g), R)
+    assert cov.D <= 8 * R
+
+
+def test_net_voronoi_merge_runs_few_bfs(monkeypatch):
+    passes = []
+    real = graphs._bit_bfs
+
+    def counting(*args, **kwargs):
+        passes.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "_bit_bfs", counting)
+    monkeypatch.setattr(asdimlab, "_bit_bfs", counting)
+    # asking set_diameter about each of the 62 candidate unions took 70 passes
+    cov = cover_at_scale(grid(40, 40), 4, "net_voronoi")
+    assert (cov.D, cov.multiplicity) == (32, 3)
+    assert len(passes) <= 24
+    passes.clear()
+    # a one-cell cover has no candidate union, so no net-point rows: the
+    # passes are those of the recomputed diameter
+    cov = cover_at_scale(farey_ball(9), 4, "net_voronoi")
+    assert len(cov.blocks) == 1
+    assert len(passes) <= 3
 
 
 def test_every_strategy_rechecks_multiplicity_against_the_graph():

@@ -44,6 +44,10 @@ def test_anchor_validation():
         cone_exit_anchor(eg, 0, eg.graph.n - 1)
     with pytest.raises(ValueError, match="target must be an integer"):
         cone_exit_anchor(eg, 0, "3")
+    # True would otherwise be taken as vertex 1, and "3" or 2.5 looked up as ids
+    for bad in ("3", 2.5, True):
+        with pytest.raises(ValueError, match="basepoint must be an integer"):
+            cone_exit_anchor(eg, bad, 5)
 
 
 def test_qi_fit_on_the_small_ring_tree():

@@ -22,6 +22,7 @@ from .graphs import (
     check_int,
     check_int_lists,
     dilation,
+    max_set_diameter,
     nearest_points,
     read_json,
     set_diameter,
@@ -47,6 +48,11 @@ class Cover:
 
     @classmethod
     def from_blocks(cls, g: MetricGraph, blocks, R: int, strategy: str, meta=None) -> "Cover":
+        """The cover of ``g`` by ``blocks`` at scale R, with D and the
+        multiplicity recomputed from the blocks.  D is ``max_set_diameter``
+        of all blocks at once, so the blocks share their bit-BFS passes and
+        a block closes once it cannot beat the largest eccentricity found in
+        any block."""
         norm = tuple(tuple(sorted(set(b))) for b in blocks)
         if not norm:
             raise ValueError("a cover needs at least one block")
@@ -54,11 +60,10 @@ class Cover:
         if empty:
             raise ValueError(f"cover block {empty[0]} is empty (of {len(norm)} blocks)")
         mult, witness = multiplicity_check(g, norm, R)
-        diam = max(set_diameter(g, b) for b in norm)
         return cls(
             R=int(R),
             blocks=norm,
-            D=diam,
+            D=max_set_diameter(g, norm),
             multiplicity=mult,
             witness=witness,
             strategy=strategy,

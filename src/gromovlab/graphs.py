@@ -72,13 +72,22 @@ def _check_vertex(n: int, v) -> int:
 
 def _check_ids(n: int, ids) -> np.ndarray:
     """``ids`` as a 1-D intp array of vertex ids in 0..n-1.  An array must
-    have an integer dtype (booleans are refused), and any other sequence is
-    checked id by id as ``_check_vertex`` does; an unknown id is refused."""
+    have an integer dtype (booleans are refused); any other iterable is
+    converted at once when all its items are ints or numpy integers, and
+    otherwise checked id by id as ``_check_vertex`` does, which names the
+    first mistyped one.  An unknown id is refused."""
     if isinstance(ids, np.ndarray):
         if ids.ndim != 1 or ids.dtype.kind not in "iu":
             raise ValueError(f"vertex ids must be a 1-D integer array, got {ids.dtype} {ids.shape}")
     else:
-        ids = np.array([check_int("vertex id", v) for v in ids], dtype=np.intp)
+        ids = list(ids)
+        if not all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, ids))):
+            ids = [check_int("vertex id", v) for v in ids]
+        try:
+            ids = np.array(ids, dtype=np.intp)
+        except OverflowError:  # an int beyond intp is no vertex id either
+            bad = next(v for v in ids if not 0 <= v < n)
+            raise ValueError(f"unknown vertex id {bad} (graph has {n} vertices)") from None
     if ids.size and (ids.min() < 0 or ids.max() >= n):
         bad = ids[(ids < 0) | (ids >= n)][0]
         raise ValueError(f"unknown vertex id {bad} (graph has {n} vertices)")
@@ -317,7 +326,7 @@ class MetricGraph:
 def _check_sources(g: MetricGraph, sources) -> list:
     """The distinct ids of ``sources``, sorted; an empty set or an unknown or
     mistyped id is refused."""
-    seeds = sorted({_check_vertex(g.n, s) for s in sources})
+    seeds = sorted(set(_check_ids(g.n, sources).tolist()))
     if not seeds:
         raise ValueError("need at least one source vertex")
     return seeds
@@ -382,21 +391,25 @@ def _row_blocks(csr, sources):
         yield batch, _bit_bfs(csr, batch, every)
 
 
-def _bit_bfs(csr, sources, targets, cap=None) -> np.ndarray:
+def _bit_bfs(csr, sources, targets, cap=None, need=None) -> np.ndarray:
     """(k, m) distances from k <= 64 distinct ``sources`` to m ``targets``,
     from one bit-parallel BFS (Akiba, Iwata and Yoshida, SIGMOD 2013).
 
     Every vertex holds a uint64 word whose bit i is set once source i has
-    reached it; one level ORs each word with its neighbours' words.  The
-    search stops once every target holds every bit, or after level cap + 1,
-    and targets still unreached then read cap + 2, a lower bound.  Levels are
-    recorded as they come: a target's distance from source i is the number
-    of levels at which bit i was missing, kept in bit-sliced counters (word j
-    holds bit j of every count), so a pass holds one word per vertex and
-    log2(levels + 2) words per target.  It serves set diameters and the
-    row batches of ``MetricGraph.prefetch_rows`` and of block matrices.  It
-    runs on an adjacency ``csr`` as ``_csr`` builds it, in which every
-    vertex has a neighbour, and trusts its inputs, as ``_bfs_levels`` does.
+    reached it; one level ORs each word with its neighbours' words.  ``need``
+    is one uint64 word per target, the sources that must reach it (all k by
+    default).  The search stops once every target holds its ``need`` bits, or
+    after level cap + 1, and targets still unreached then read cap + 2, a
+    lower bound.  Entries outside a target's ``need`` are never counted and
+    read 0, so passes that serve several sets at once look only at each
+    set's own sources.  Levels are recorded as they come: a target's distance
+    from source i is the number of levels at which bit i was missing, kept in
+    bit-sliced counters (word j holds bit j of every count), so a pass holds
+    one word per vertex and log2(levels + 2) words per target.  It serves set
+    diameters and the row batches of ``MetricGraph.prefetch_rows`` and of
+    block matrices.  It runs on an adjacency ``csr`` as ``_csr`` builds it,
+    in which every vertex has a neighbour, and trusts its inputs, as
+    ``_bfs_levels`` does.
     """
     nbrs, starts = csr
     n = len(starts)
@@ -404,12 +417,13 @@ def _bit_bfs(csr, sources, targets, cap=None) -> np.ndarray:
     k = len(sources)
     reach = np.zeros(n, dtype=np.uint64)
     reach[sources] = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
-    full = np.bitwise_or.reduce(reach[sources])
+    if need is None:
+        need = np.bitwise_or.reduce(reach[sources])
     last = n if cap is None else cap + 1  # no distance reaches n
     counts = []
     d = 0
     while True:
-        carry = full & ~reach[targets]
+        carry = need & ~reach[targets]
         if not carry.any():
             break
         for j, word in enumerate(counts):
@@ -430,52 +444,113 @@ def _bit_bfs(csr, sources, targets, cap=None) -> np.ndarray:
     return out
 
 
-def set_diameter(g: MetricGraph, vertices, cap=None) -> int:
-    """Diameter of a vertex set S in the ambient graph metric.
+def max_set_diameter(g: MetricGraph, sets, cap=None) -> int:
+    """The largest diameter of the vertex sets in ``sets`` (each nonempty; they
+    may overlap), in the ambient graph metric.
 
-    Exact when ``cap`` is None or the diameter is at most ``cap``; otherwise
-    some value above ``cap`` (a lower bound on the diameter), returned as
-    soon as a pass proves it.  Each member keeps bounds lo <= ecc_S <= hi
-    (Takes and Kosters, "Determining the diameter of small world networks",
-    2011): a source at distances d from S with e = max d gives
-    lo >= max(d, e - d) and hi <= e + d.  The sources come 64 at a time from
-    ``_bit_bfs``: first 64 members spread evenly over sorted S, then 32 open
-    members of largest hi and 32 of smallest lo.  A member closes once
-    hi <= best, the largest lower bound so far.  The row cache is neither
-    read nor filled, so callers with many one-off sets (cover blocks) leave
-    it as it was; the projection table reads its cached rows itself.
+    Exact when ``cap`` is None or the result is at most ``cap``; otherwise
+    some value above ``cap`` (a lower bound on the largest diameter), returned
+    as soon as a pass proves it.  Each member of a set keeps bounds
+    lo <= ecc <= hi on its eccentricity within the set (Takes and Kosters,
+    "Determining the diameter of small world networks", 2011): a source at
+    distances d from its set with e = max d gives lo >= max(d, e - d) and
+    hi <= e + d.  The sources come 64 at a time from ``_bit_bfs``: first
+    max(1, 64 // s) members spread evenly over each of the s sets of two or
+    more members (64 for a single set), then rounds of the 32 open members of
+    largest hi and the 32 of smallest lo, over all sets.  best is the largest
+    lower bound in any set, at most the answer, so a member closes once
+    hi <= best: it cannot raise the maximum.  A pass targets only the sets
+    that have a source in it, each source needs only its own set's members,
+    and a vertex that is already a source of the pass (sets may overlap)
+    waits for the next one.  The row cache is neither read nor filled, so
+    callers with many one-off sets (cover blocks) leave it as it was; the
+    projection table reads its cached rows itself.
     """
-    vs = sorted({_check_vertex(g.n, v) for v in vertices})
-    if not vs:
+    sets = [list(s) for s in sets]
+    if not sets:
+        raise ValueError("need at least one vertex set")
+    size = np.array([len(s) for s in sets], dtype=np.intp)
+    ids = _check_ids(g.n, chain.from_iterable(sets))
+    if not size.all():
         raise ValueError("diameter of an empty set")
     if cap is not None:
         cap = check_int("diameter cap", cap, 0)
-    if len(vs) == 1:
+    # members, sorted and distinct within each set, set after set; set s
+    # holds members[offs[s]:offs[s + 1]], and owner[i] is the set of member i
+    key = np.sort(np.repeat(np.arange(len(sets)), size) * g.n + ids)
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    owner, members = np.divmod(key, g.n)
+    offs = np.searchsorted(owner, np.arange(len(sets) + 1))
+    size = offs[1:] - offs[:-1]
+    wide = np.flatnonzero(size > 1)
+    if not wide.size:
         return 0
-    arr = np.asarray(vs)
-    m = len(vs)
-    lo = np.zeros(m, dtype=np.int64)
-    hi = np.full(m, np.iinfo(np.int64).max)
-    closed = np.zeros(m, dtype=bool)
-    picks = np.linspace(0, m - 1, min(m, 64)).astype(np.intp)
+    q = max(1, 64 // wide.size)
+    if q == 1:
+        queue = offs[wide]  # np.linspace(0, m - 1, 1) is [0]
+    else:
+        spread = [np.linspace(0, size[s] - 1, min(size[s], q)).astype(np.intp) for s in wide]
+        queue = np.concatenate([offs[s] + at for s, at in zip(wide, spread)])
+    lo = np.zeros(len(members), dtype=np.int64)
+    hi = np.full(len(members), np.iinfo(np.int64).max)
+    closed = np.repeat(size < 2, size)
+    best = 0
     while True:
-        d = _bit_bfs(_csr(g), arr[picks], arr, cap)
-        e = d.max(axis=1, keepdims=True)
-        if cap is not None and e.max() > cap:
-            return int(e.max())  # at most the diameter: a distance or cap + 2
-        np.maximum(lo, np.maximum(d, e - d).max(axis=0), out=lo)
-        np.minimum(hi, (e + d).min(axis=0), out=hi)
-        best = int(lo.max())  # lo of a source is its e
+        queue = queue[~closed[queue]]
+        if queue.size:
+            picks, queue = queue[:64], queue[64:]
+        else:
+            picks = np.flatnonzero(~closed)
+            if not picks.size:
+                return best
+            if picks.size > 64:
+                order = np.argsort(-hi[picks], kind="stable")
+                far = picks[order[:32]]
+                rest = picks[np.sort(order[32:])]
+                picks = np.concatenate([far, rest[np.argsort(lo[rest], kind="stable")[:32]]])
+        lane_set = owner[picks]
+        if lane_set.min() < lane_set.max():
+            # a vertex already a source of this pass (sets may overlap) waits
+            # for the next one; each set's sources go side by side
+            src = members[picks]
+            order = np.argsort(src, kind="stable")
+            again = np.zeros(picks.size, dtype=bool)
+            again[order[1:]] = src[order[1:]] == src[order[:-1]]
+            queue = np.concatenate([picks[again], queue])
+            picks = picks[~again]
+            picks = picks[np.argsort(owner[picks], kind="stable")]
+            lane_set = owner[picks]
+        # the targets are the members of the sets in the pass, and each
+        # needs only its own set's sources
+        cut = np.flatnonzero(np.concatenate(([True], lane_set[1:] != lane_set[:-1])))
+        part, lanes = lane_set[cut], np.append(cut, picks.size)
+        cols = np.concatenate(([0], np.cumsum(size[part])))
+        targets = np.arange(cols[-1]) + np.repeat(offs[part] - cols[:-1], size[part])
+        need = None
+        if part.size > 1:
+            words = [((1 << int(b - a)) - 1) << int(a) for a, b in zip(lanes, lanes[1:])]
+            need = np.repeat(np.array(words, dtype=np.uint64), size[part])
+        d = _bit_bfs(_csr(g), members[picks], members[targets], cap, need)
+        for j, s in enumerate(part.tolist()):
+            a, b = offs[s], offs[s + 1]
+            block = d[lanes[j]:lanes[j + 1], cols[j]:cols[j + 1]]
+            e = block.max(axis=1, keepdims=True)
+            top = int(e.max())
+            if cap is not None and top > cap:
+                return top  # at most the diameter: a distance or cap + 2
+            np.maximum(lo[a:b], np.maximum(block, e - block).max(axis=0), out=lo[a:b])
+            np.minimum(hi[a:b], (e + block).min(axis=0), out=hi[a:b])
+            best = max(best, top)  # lo of a source is its e
         closed[picks] = True
         closed |= hi <= best
-        picks = np.flatnonzero(~closed)
-        if not picks.size:
-            return best
-        if picks.size > 64:
-            order = np.argsort(-hi[picks], kind="stable")
-            wide = picks[order[:32]]
-            rest = picks[np.sort(order[32:])]
-            picks = np.concatenate([wide, rest[np.argsort(lo[rest], kind="stable")[:32]]])
+
+
+def set_diameter(g: MetricGraph, vertices, cap=None) -> int:
+    """Diameter of a vertex set S in the ambient graph metric:
+    ``max_set_diameter`` of the one set S, whose first pass takes 64 members
+    spread evenly over sorted S.  Exact when ``cap`` is None or the diameter
+    is at most ``cap``; otherwise some value above ``cap``."""
+    return max_set_diameter(g, [vertices], cap)
 
 
 def block_tree(g: MetricGraph) -> tuple:

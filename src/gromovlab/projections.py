@@ -109,11 +109,17 @@ class ProjectionTable:
 
 def triple_distance(g: MetricGraph, fam: SubgraphFamily, a: int, b: int, c: int) -> int:
     """Diameter of the union of the projections of members b and c into member
-    a; symmetric in (b, c)."""
+    a; symmetric in (b, c).  One ``nearest_points`` out of H_a labels every
+    vertex with its nearest points in H_a, and the labels OR-ed over H_b and
+    H_c give the union, whose ``set_diameter`` is the entry
+    ``ProjectionTable(g, fam).member(a)[b, c]``."""
     a, b, c = (fam.check_index(x) for x in (a, b, c))
     if len({a, b, c}) != 3:
         raise ValueError("triple distance needs three distinct member indices")
-    return int(ProjectionTable(g, fam).member(a)[b, c])
+    fam.validate_against(g)
+    members = fam.members
+    labels = nearest_points(g, members[a])[1]
+    return set_diameter(g, nearest_set(members[a], labels, chain(members[b], members[c])))
 
 
 def auto_theta(R: int) -> float:

@@ -240,6 +240,56 @@ def test_net_voronoi_merge_runs_few_bfs(monkeypatch):
     assert len(passes) <= 3
 
 
+@pytest.mark.parametrize(
+    "make,R,strategy,D,most",
+    [
+        (lambda: grid(40, 40), 4, "interval", 78, 2),  # one pass per block: 10
+        (lambda: grid(40, 40), 4, "brick", 22, 4),  # 15
+        (lambda: grid(40, 40), 4, "net_voronoi", 32, 3),  # 8
+        (lambda: farey_ball(9), 2, "interval", 10, 6),  # 6
+        (lambda: farey_ball(9), 4, "interval", 10, 3),  # one block: 3
+    ],
+    ids=["grid-40-40-interval", "grid-40-40-brick", "grid-40-40-net_voronoi",
+         "farey-9-R2-interval", "farey-9-R4-interval"],
+)
+def test_cover_diameter_shares_its_bfs_passes_across_blocks(monkeypatch, make, R, strategy, D, most):
+    g = make()
+    blocks = cover_at_scale(g, R, strategy).blocks
+    passes = []
+    real = graphs._bit_bfs
+
+    def counting(*args, **kwargs):
+        passes.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "_bit_bfs", counting)
+    cov = Cover.from_blocks(g, blocks, R, strategy)
+    assert cov.D == D
+    assert len(passes) <= most
+
+
+def test_overlapping_loaded_blocks_keep_their_diameter():
+    # every block holds vertex 0, the first pick of each: all but one of
+    # those picks wait for a later pass
+    g = grid(12, 12)
+    blocks = [[0, *range(12 * y, 12 * y + 12)] for y in range(12)]
+    cov = cover_from_obj(g, {"R": 1, "blocks": blocks})
+    D = orc.distance_matrix(g)
+    assert cov.D == max(orc.set_diameter_oracle(D, b) for b in blocks) == 22
+    assert cov.multiplicity == 12
+    # interval bands dilated by one overlap their neighbours
+    g = grid(40, 40)
+    bands = cover_at_scale(g, 4, "interval").blocks
+    cov = cover_from_obj(g, {"R": 4, "blocks": [graphs.dilation(g, b, 1) for b in bands]})
+    assert (cov.D, cov.multiplicity) == (78, 3)
+    # 342 overlapping balls of radius 2 and 683 singletons
+    f = farey_ball(9)
+    balls = [graphs.dilation(f, [v], 2) for v in range(0, f.n, 3)]
+    ones = [[v] for v in range(f.n) if v % 3]
+    cov = cover_from_obj(f, {"R": 1, "blocks": balls + ones})
+    assert (cov.D, cov.multiplicity) == (4, 178)
+
+
 def test_every_strategy_rechecks_multiplicity_against_the_graph():
     g = path(200)
     for strategy in ("interval", "net_voronoi"):

@@ -24,6 +24,7 @@ from gromovlab.graphs import (
     graph_to_dot,
     graph_to_obj,
     load_graph,
+    max_set_diameter,
     multi_source_distances,
     nearest_points,
     nearest_set,
@@ -332,7 +333,7 @@ def test_prefetched_rows_match_single_source_bfs(g, data):
 def test_prefetch_checks_every_id_before_computing_a_row():
     g = grid(5, 5)
     row = g.distances_from(3)
-    for bad in ([0, 1, 25], [-1, 2], [2, True], [4, 2.0]):
+    for bad in ([0, 1, 25], [-1, 2], [2, True], [4, 2.0], [3, 2**64]):
         with pytest.raises(ValueError):
             g.prefetch_rows(bad)
         assert g._dist_rows.keys() == {3} and g._dist_rows[3] is row
@@ -398,6 +399,74 @@ def test_bit_bfs_matches_multi_source_distances(k):
         for cap in (0, 2, 5):
             capped = np.where(rows <= cap + 1, rows, cap + 2)[:, targets]
             assert np.array_equal(graphs._bit_bfs(graphs._csr(g), sources, targets, cap), capped)
+
+
+def test_bit_bfs_counts_only_the_needed_lanes():
+    rng = np.random.default_rng(3)
+    for g in (grid(9, 9), farey_ball(6), tree_of_rings(2, 3, 12)[0]):
+        sources = np.linspace(0, g.n - 1, 64).astype(int)
+        rows = np.array([multi_source_distances(g, [s]) for s in sources])
+        targets = np.arange(0, g.n, 2)
+        # one random word per target; lane 63 is the sign bit of an int64
+        need = rng.integers(0, 2**64, size=targets.size, dtype=np.uint64)
+        bit = (need[None, :] >> np.arange(64, dtype=np.uint64)[:, None]) & np.uint64(1)
+        got = graphs._bit_bfs(graphs._csr(g), sources, targets, None, need)
+        assert np.array_equal(got, np.where(bit == 1, rows[:, targets], 0))
+        for cap in (0, 2, 5):
+            capped = np.where(rows <= cap + 1, rows, cap + 2)[:, targets]
+            got = graphs._bit_bfs(graphs._csr(g), sources, targets, cap, need)
+            assert np.array_equal(got, np.where(bit == 1, capped, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(connected_graphs(), st.sampled_from(["farey-6", "rings-2-3-12"]).map(small)), st.data())
+def test_max_set_diameter_matches_the_oracle_on_random_families(g, data):
+    g = MetricGraph(g.n, g.edges)  # a cold row cache
+    D = orc.distance_matrix(g)
+    ids = st.integers(0, g.n - 1)
+    # up to 80 sets, so that more than 64 sets share their first passes;
+    # the sets overlap, repeat ids and may be singletons
+    width = data.draw(st.sampled_from([3, 40]))
+    sets = data.draw(st.lists(st.lists(ids, min_size=1, max_size=width), min_size=1, max_size=80))
+    expect = max(orc.set_diameter_oracle(D, s) for s in sets)
+    cap = data.draw(st.none() | st.integers(0, expect + 2))
+    got = max_set_diameter(g, sets, cap)
+    if cap is None or expect <= cap:
+        assert got == expect
+    else:
+        assert cap < got <= expect
+    assert g._dist_rows == {}
+
+
+def test_one_source_per_set_leaves_open_what_it_cannot_bound():
+    # 81 corners {c, c + 1, c + 10} of grid(10, 10): each set's first and
+    # only source is its corner c, whose eccentricity 1 becomes the global
+    # lower bound, while its two other members are 2 apart; their upper
+    # bound 2 keeps them open until a later pass finds that distance
+    g = grid(10, 10)
+    sets = [[c, c + 1, c + 10] for c in range(90) if c % 10 < 9]
+    assert max_set_diameter(g, sets) == 2
+    assert max_set_diameter(g, sets, 1) == 2
+
+
+def test_max_set_diameter_checks_every_set():
+    g = grid(5, 5)
+    assert max_set_diameter(g, [[0], [7, 7]]) == 0
+    assert max_set_diameter(g, [np.array([0, 24]), (np.int32(3), 4)]) == 8
+    with pytest.raises(ValueError, match="unknown vertex id 25"):
+        max_set_diameter(g, [[0, 1], [3, 25]])
+    with pytest.raises(ValueError, match=f"unknown vertex id {2**70}"):
+        max_set_diameter(g, [[0, 1], [3, 2**70]])
+    with pytest.raises(ValueError, match="vertex id must be an integer, got True"):
+        max_set_diameter(g, [[0, 1], [2, True]])
+    with pytest.raises(ValueError, match="vertex id must be an integer, got 2.0"):
+        max_set_diameter(g, [[0, 1], [3, 2.0]])
+    with pytest.raises(ValueError, match="empty set"):
+        max_set_diameter(g, [[0, 1], []])
+    with pytest.raises(ValueError, match="at least one vertex set"):
+        max_set_diameter(g, [])
+    with pytest.raises(ValueError, match="diameter cap"):
+        max_set_diameter(g, [[0, 1]], -1)
 
 
 @settings(max_examples=40, deadline=None)

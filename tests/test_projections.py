@@ -1,5 +1,6 @@
 """Nearest-point projections between family members and the axiom checker."""
 
+import functools
 import hashlib
 import json
 import os
@@ -104,6 +105,20 @@ def test_triple_distance_is_symmetric_and_matches_the_oracle():
     for bad in (2.0, True, "2", None):
         with pytest.raises(ValueError, match="member index must be an integer"):
             triple_distance(g, fam, bad, 0, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def projection_table(name):
+    return ProjectionTable(*family_instance(name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["rings-2-3-12", "rings-3-3-12"]), st.data())
+def test_triple_distance_is_the_projection_table_entry(name, data):
+    g, fam = family_instance(name)
+    index = st.integers(0, len(fam) - 1)
+    a, b, c = data.draw(st.lists(index, min_size=3, max_size=3, unique=True))
+    assert triple_distance(g, fam, a, b, c) == projection_table(name).member(a)[b, c]
 
 
 def test_axiom_check_on_the_small_ring_tree():

@@ -89,7 +89,7 @@ def load_cover(g: MetricGraph, path) -> Cover:
     return cover_from_obj(g, read_json(path))
 
 
-def multiplicity_check(g: MetricGraph, cover, R: int) -> tuple:
+def multiplicity_check(g: MetricGraph, blocks, R: int) -> tuple:
     """Exhaustive verifier: the R-multiplicity of the blocks, by dilation.
 
     A block meets the R-ball of v exactly when v lies in the block's
@@ -98,7 +98,6 @@ def multiplicity_check(g: MetricGraph, cover, R: int) -> tuple:
     (max multiplicity, first vertex attaining it).  Raises if the blocks do
     not cover the graph.
     """
-    blocks = cover.blocks if isinstance(cover, Cover) else tuple(cover)
     R = check_int("scale R", R, 0)
     count = np.zeros(g.n, dtype=np.int64)
     covered = np.zeros(g.n, dtype=bool)

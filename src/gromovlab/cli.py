@@ -12,6 +12,7 @@ get their manifest in a sibling .profile.json.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -349,6 +350,7 @@ def _add_out(p, required=True):
     p.add_argument("--out", required=required, help="output path prefix")
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gromovlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"gromovlab {__version__}")

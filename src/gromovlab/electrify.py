@@ -236,11 +236,10 @@ def cone_visits(walk, eg: ElectrifiedGraph) -> list:
     return [(k, eg.cone_index(v)) for k, v in enumerate(walk) if eg.is_cone(v)]
 
 
-def is_efficient(walk, eg: ElectrifiedGraph) -> bool:
-    """True iff the walk visits each cone vertex at most once and every cone
-    visit enters and leaves through the coned member."""
-    graph = eg.graph
-    if not walk:
+def check_walk(walk, graph: MetricGraph) -> None:
+    """Raise unless ``walk`` is a nonempty sequence of integer vertex ids of
+    ``graph`` whose every step is an edge."""
+    if len(walk) == 0:
         raise ValueError("empty walk")
     for v in walk:
         if check_int("walk vertex", v) < 0 or v >= graph.n:
@@ -248,6 +247,12 @@ def is_efficient(walk, eg: ElectrifiedGraph) -> bool:
     for a, b in zip(walk, walk[1:]):
         if b not in graph.neighbors(a):
             raise ValueError(f"walk step {a}->{b} is not an edge")
+
+
+def is_efficient(walk, eg: ElectrifiedGraph) -> bool:
+    """True iff the walk visits each cone vertex at most once and every cone
+    visit enters and leaves through the coned member."""
+    check_walk(walk, eg.graph)
     # steps are edges and a cone neighbours only its member: entries are clean
     cones = [c for _, c in cone_visits(walk, eg)]
     return len(cones) == len(set(cones))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .electrify import ElectrifiedGraph, cone_visits
+from .electrify import ElectrifiedGraph, check_walk, cone_visits
 from .graphs import MetricGraph, SizeLimitError, check_int
 from .hyperbolicity import DeltaReport, four_point_delta
 from .quasitree import QuasiTreeSpace
@@ -64,28 +64,19 @@ def enlargement(eg: ElectrifiedGraph, walk) -> list:
     """Push an electrified-graph geodesic back into the base graph by
     replacing every cone excursion entry -> cone -> exit with an intrinsic
     member geodesic between entry and exit."""
-    if not walk:
-        raise ValueError("empty walk")
+    graph = eg.graph
+    check_walk(walk, graph)
     if eg.is_cone(walk[0]) or eg.is_cone(walk[-1]):
         raise ValueError("enlargement endpoints must be base vertices")
-    graph = eg.graph
-    for a, b in zip(walk, walk[1:]):
-        if b not in graph.neighbors(a):
-            raise ValueError(f"walk step {a}->{b} is not an edge")
     if len(walk) - 1 != graph.shortest_distance(walk[0], walk[-1]):
         raise ValueError("walk is not a geodesic of the electrified graph")
     out = [walk[0]]
-    k = 1
-    while k < len(walk):
-        v = walk[k]
-        if eg.is_cone(v):
-            c = eg.cone_index(v)
-            seg = eg.intrinsic_geodesic(c, walk[k - 1], walk[k + 1])
-            out.extend(seg[1:])
-            k += 2
-        else:
-            out.append(v)
-            k += 1
+    for k in range(1, len(walk)):
+        if eg.is_cone(walk[k]):
+            c = eg.cone_index(walk[k])
+            out.extend(eg.intrinsic_geodesic(c, walk[k - 1], walk[k + 1])[1:])
+        elif not eg.is_cone(walk[k - 1]):  # an exit is the member geodesic's end
+            out.append(walk[k])
     return out
 
 

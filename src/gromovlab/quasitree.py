@@ -82,25 +82,29 @@ def wide_points(eg: ElectrifiedGraph, walk, theta: float) -> list:
     return out
 
 
-def _exists_narrow_geodesic(eg: ElectrifiedGraph, u: int, w: int, theta: float) -> bool:
-    """Does a geodesic of the electrified graph from base vertex u to w cross
-    no cone widely?  Decided exactly, level by level over the geodesic DAG,
-    on (previous, current) states: wideness depends on both neighbors."""
-    graph = eg.graph
-    du = graph.distances_from(u)
-    on_geo = (du + graph.distances_from(w) == du[w]).tolist()
-    level = {(None, u)}
-    for k in range(1, int(du[w]) + 1):
-        step = set()
-        for a, b in level:
-            for c in graph.neighbors(b):
-                if not on_geo[c] or du[c] != k:
-                    continue
-                if eg.is_cone(b) and eg.intrinsic_distance(eg.cone_index(b), a, c) >= theta:
-                    continue
-                step.add((b, c))
+def _narrow_reach(eg: ElectrifiedGraph, u: int, theta: float) -> set:
+    """Every vertex that some geodesic of the electrified graph from base
+    vertex u reaches while crossing no cone widely.  One sweep over d(u, .),
+    level by level, on (previous, current) states: every prefix of a geodesic
+    is a geodesic, and wideness at a cone reads only its two neighbours on the
+    walk, so each vertex of a level keeps the vertices before it, which only
+    a cone reads."""
+    adj, base_n = eg.graph._adj, eg.base_size
+    du = eg.graph.distances_from(u).tolist()
+    reach, level, k = {u}, {u: []}, 0
+    while level:
+        k += 1
+        step = {}
+        for b, entries in level.items():
+            if b >= base_n:  # a cone: an exit must be near one of its entries
+                sub, ids = eg.intrinsic(b - base_n)
+                rows = [sub.distances_from(ids[a]) for a in entries]
+            for c in adj[b]:
+                if du[c] == k and (b < base_n or any(row[ids[c]] < theta for row in rows)):
+                    step.setdefault(c, []).append(b)
+        reach.update(step)
         level = step
-    return bool(level)
+    return reach
 
 
 def build_quasitree(
@@ -156,12 +160,10 @@ def build_quasitree(
     pairs = {"projection": set(zip(rows[keep].tolist(), cols[keep].tolist()))}
     if rule == "widepoint" or with_diff:
         eg = electrify(g, fam)
-        pairs["widepoint"] = {
-            (c, d)
-            for c in range(m)
-            for d in range(c + 1, m)
-            if _exists_narrow_geodesic(eg, anchor[c][d], anchor[d][c], theta)
-        }
+        upper = list(zip(rows.tolist(), cols.tolist()))
+        # one sweep per distinct anchor x_cd decides every pair it starts
+        reach = {u: _narrow_reach(eg, u, theta) for u in {anchor[c][d] for c, d in upper}}
+        pairs["widepoint"] = {(c, d) for c, d in upper if anchor[d][c] in reach[anchor[c][d]]}
 
     cross = []
     for (c, d) in sorted(pairs[rule]):

@@ -176,6 +176,25 @@ def _dijkstra_path(graph, weights: dict, source: int, target: int) -> list:
     return walk
 
 
+def narrow_geodesic_oracle(eg, u, w, theta):
+    """Does some geodesic of the electrified graph from u to w cross no cone
+    widely?  networkx enumerates every geodesic, and a cone visit is wide when
+    its entry and exit sit >= theta apart in the member's induced subgraph,
+    measured by networkx as well."""
+    h = to_networkx(eg.graph)
+    base = h.subgraph(range(eg.base_size))
+    for walk in nx.all_shortest_paths(h, u, w):
+        cones = [k for k in range(1, len(walk) - 1) if walk[k] >= eg.base_size]
+        if all(
+            nx.shortest_path_length(
+                base.subgraph(eg.family[walk[k] - eg.base_size]), walk[k - 1], walk[k + 1]
+            ) < theta
+            for k in cones
+        ):
+            return True
+    return False
+
+
 def axiom_oracle(D, members, theta="auto"):
     """The projection-axiom audit by brute force over every pair and triple,
     from ``triple_oracle``: R, theta (3R + 3 for "auto"), the axiom-2

@@ -4,11 +4,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gromovlab
 from gromovlab import graphs, projections
 from gromovlab.cli import main
 from gromovlab.electrify import eg_to_obj, electrify, family_to_obj, load_eg
@@ -418,6 +422,25 @@ def test_reruns_are_byte_identical_after_masking_wall_time(rings, tmp_path):
     csv1 = (tmp_path / "p1.profile.csv").read_bytes()
     csv2 = (tmp_path / "p2.profile.csv").read_bytes()
     assert csv1 == csv2
+
+
+def test_one_parser_per_process_leaks_no_arguments_between_calls(rings, tmp_path):
+    # main() reuses one parser: each artifact of a run in this process must
+    # equal that of the same command in a fresh process
+    graph, family = rings
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gromovlab.__file__)))
+    runs = [
+        (["quasitree", graph, family, "--rule", "widepoint", "--no-diff"], ".y.json"),
+        (["quasitree", graph, family], ".y.json"),
+        (["delta", graph, "--mode", "sampled", "--samples", "200", "--seed", "3"], ".delta.json"),
+        (["delta", graph], ".delta.json"),
+    ]
+    for i, (argv, suffix) in enumerate(runs):
+        warm, fresh = tmp_path / f"warm{i}", tmp_path / f"fresh{i}"
+        assert run(argv + ["--out", str(warm)]) == 0
+        subprocess.run([sys.executable, "-m", "gromovlab.cli", *argv, "--out", str(fresh)],
+                       env=env, check=True, capture_output=True)
+        assert masked(read(tmp_path / f"warm{i}{suffix}")) == masked(read(tmp_path / f"fresh{i}{suffix}"))
 
 
 def test_version_flag(capsys):

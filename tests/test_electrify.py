@@ -315,6 +315,15 @@ def test_efficiency_rejects_double_visits_and_bad_walks():
             is_efficient([bad], eg)
 
 
+def test_efficiency_rejects_walks_with_string_vertices():
+    eg = electrified(1, 1, 12)
+    for walk in (["a"], [0, "b"], ["0", 1]):
+        with pytest.raises(ValueError, match="walk vertex must be an integer"):
+            is_efficient(walk, eg)
+    # an array of integer ids is a walk like any other sequence
+    assert is_efficient(np.array(eg.graph.geodesic(0, 6)), eg)
+
+
 def test_penetration_profile_on_rings_reports_tight_crossings():
     for ring_len, n_records in ((12, 85), (24, 127)):
         eg = electrified(2, 3, ring_len)

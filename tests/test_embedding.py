@@ -3,6 +3,7 @@
 import hashlib
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from _corpus import quasitree_setup
@@ -168,6 +169,16 @@ def test_enlargement_validation():
     assert eg.graph.shortest_distance(a, b) == 1
     with pytest.raises(ValueError, match="not a geodesic"):
         enlargement(eg, [a, vc, b])
+
+
+def test_enlargement_rejects_walks_with_string_vertices():
+    # the walk is checked before any vertex is compared with the cone ids
+    _, _, eg, _, _ = quasitree_setup(2, 3, 12)
+    for walk in (["a"], [0, "b"], ["0", 1]):
+        with pytest.raises(ValueError, match="walk vertex must be an integer"):
+            enlargement(eg, walk)
+    walk = eg.graph.geodesic(0, 50)
+    assert enlargement(eg, np.array(walk)) == enlargement(eg, walk)
 
 
 def test_qi_fit_validation():

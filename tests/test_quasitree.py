@@ -1,16 +1,20 @@
 """Quasi-tree of member copies: tags, cross edges, rules, serialization."""
 
 import hashlib
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import _oracles as orc
-from _corpus import FAMILY_NAMES, family_instance, quasitree_setup, ring_instance
-from gromovlab.electrify import SubgraphFamily
-from gromovlab.generators import cycle, path
-from gromovlab.graphs import dump_json
-from gromovlab.projections import axiom_check, project
+from _corpus import FAMILY_NAMES, connected_graphs, family_instance, quasitree_setup, ring_instance
+from gromovlab.electrify import SubgraphFamily, electrify
+from gromovlab.generators import cycle, hierarchy_tower, path
+from gromovlab.graphs import MetricGraph, dump_json
+from gromovlab.projections import ProjectionTable, axiom_check, project
 from gromovlab.quasitree import (
+    _narrow_reach,
     build_quasitree,
     wide_points,
     y_distance,
@@ -270,3 +274,89 @@ def test_the_quasitree_payload_matrix_is_pinned(name, theta, rule, with_diff, di
         return
     y = build_quasitree(g, fam, theta, rule=rule, with_diff=with_diff)
     assert hashlib.sha256(dump_json(y_to_obj(y)).encode()).hexdigest()[:16] == digest
+
+
+def _anchors(g, fam):
+    table = ProjectionTable(g, fam)
+    return [table.anchors(c).tolist() for c in range(len(fam))]
+
+
+def _widepoint_pairs(eg, anchor, theta):
+    """(sweep pairs, oracle pairs): member pairs (c, d), c < d, joined by the
+    widepoint rule, read from the narrow reach of x_cd and from the networkx
+    oracle on x_cd, x_dc."""
+    sweep, oracle = set(), set()
+    for c, d in combinations(range(len(anchor)), 2):
+        u, w = anchor[c][d], anchor[d][c]
+        if w in _narrow_reach(eg, u, theta):
+            sweep.add((c, d))
+        if orc.narrow_geodesic_oracle(eg, u, w, theta):
+            oracle.add((c, d))
+    return sweep, oracle
+
+
+def _built_widepoint_pairs(g, fam, theta):
+    """The cross-edge pairs of the widepoint quasi-tree, or None where the
+    rule leaves it disconnected."""
+    try:
+        y = build_quasitree(g, fam, theta, rule="widepoint", with_diff=False)
+    except ValueError as exc:
+        assert "not connected" in str(exc)
+        return None
+    return {(rec["c"], rec["d"]) for rec in y.cross_edges}
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), st.data())
+def test_narrow_reach_matches_the_geodesic_oracle_on_families_of_balls(g, data):
+    centers = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=4))
+    fam = SubgraphFamily([g.ball(c, data.draw(st.integers(1, 3))) for c in centers])
+    try:
+        eg = electrify(g, fam)
+    except ValueError:
+        assume(False)
+    anchor = _anchors(g, fam)
+    u = data.draw(st.integers(0, g.n - 1))
+    for theta in (1.0, 2.0, 2.5, 4.0):
+        # every vertex, cones too, not only the anchors
+        expect = {w for w in range(eg.graph.n) if orc.narrow_geodesic_oracle(eg, u, w, theta)}
+        assert _narrow_reach(eg, u, theta) == expect
+        sweep, oracle = _widepoint_pairs(eg, anchor, theta)
+        assert sweep == oracle
+        built = _built_widepoint_pairs(g, fam, theta)
+        assert built is None or built == oracle
+
+
+@pytest.mark.parametrize("theta", [2.0, 3.0, 4.0])
+def test_widepoint_pairs_match_the_oracle_on_a_tower_level(theta):
+    g, fam = hierarchy_tower(3, 3, 6, depth=1)[2]  # 88 vertices, 18 rings of 6
+    sweep, oracle = _widepoint_pairs(electrify(g, fam), _anchors(g, fam), theta)
+    assert sweep == oracle
+    assert _built_widepoint_pairs(g, fam, theta) == oracle
+
+
+@pytest.mark.parametrize("theta", [1.0, 2.0, 6.0, 7.0])
+def test_widepoint_pairs_match_the_oracle_on_rings_that_share_cut_vertices(theta):
+    # ring 12 has diameter 6: at theta 7 no cone crossing is wide
+    g, fam = ring_instance(2, 3, 12)
+    anchor = _anchors(g, fam)
+    shared = {(c, d) for c, d in combinations(range(len(fam)), 2) if anchor[c][d] == anchor[d][c]}
+    assert len(shared) == 21
+    sweep, oracle = _widepoint_pairs(electrify(g, fam), anchor, theta)
+    assert sweep == oracle
+    assert shared <= sweep  # a geodesic of length 0 crosses nothing
+    if theta > 6:
+        assert len(sweep) == 66
+    assert _built_widepoint_pairs(g, fam, theta) == oracle
+
+
+def test_narrow_reach_reads_every_entry_of_a_cone():
+    # u = 9 enters the cone of the path 0..8 at 0 and at 4 on the same level;
+    # the tail 10 hangs off 8, which only the cone brings within reach, and is
+    # reached narrowly only from the entry at 4 (intrinsic distances 8 and 4)
+    g = MetricGraph(11, [(v, v + 1) for v in range(8)] + [(0, 9), (4, 9), (8, 10)])
+    eg = electrify(g, SubgraphFamily([range(9)]))
+    for theta in (4.0, 5.0, 9.0):
+        expect = {w for w in range(eg.graph.n) if orc.narrow_geodesic_oracle(eg, 9, w, theta)}
+        assert _narrow_reach(eg, 9, theta) == expect
+        assert (10 in expect) == (theta > 4)

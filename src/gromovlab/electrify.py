@@ -72,12 +72,16 @@ class SubgraphFamily:
     def __repr__(self):
         return f"SubgraphFamily({len(self._members)} members)"
 
+    def validate_member(self, g: MetricGraph, c: int):
+        member = self._members[c]
+        if member[-1] >= g.n:
+            raise ValueError(f"family member {c} references unknown vertex {member[-1]}")
+        if not g.is_connected_subset(member):
+            raise ValueError(f"family member {c} does not induce a connected subgraph")
+
     def validate_against(self, g: MetricGraph):
-        for c, member in enumerate(self._members):
-            if member[-1] >= g.n:
-                raise ValueError(f"family member {c} references unknown vertex {member[-1]}")
-            if not g.is_connected_subset(member):
-                raise ValueError(f"family member {c} does not induce a connected subgraph")
+        for c in range(len(self._members)):
+            self.validate_member(g, c)
 
     def is_overlapping(self) -> bool:
         return sum(map(len, self._members)) != len(set().union(*self._members))

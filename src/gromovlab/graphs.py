@@ -392,8 +392,8 @@ def _row_blocks(csr, sources):
 
 
 def _bit_bfs(csr, sources, targets, cap=None, need=None) -> np.ndarray:
-    """(k, m) distances from k <= 64 distinct ``sources`` to m ``targets``,
-    from one bit-parallel BFS (Akiba, Iwata and Yoshida, SIGMOD 2013).
+    """(k, m) distances from k <= 64 ``sources`` (a vertex may be several) to
+    m ``targets``, from one bit-parallel BFS (Akiba, Iwata and Yoshida, SIGMOD 2013).
 
     Every vertex holds a uint64 word whose bit i is set once source i has
     reached it; one level ORs each word with its neighbours' words.  ``need``
@@ -416,9 +416,10 @@ def _bit_bfs(csr, sources, targets, cap=None, need=None) -> np.ndarray:
     targets = np.asarray(targets, dtype=np.intp)
     k = len(sources)
     reach = np.zeros(n, dtype=np.uint64)
-    reach[sources] = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+    lanes = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+    np.bitwise_or.at(reach, sources, lanes)
     if need is None:
-        need = np.bitwise_or.reduce(reach[sources])
+        need = np.bitwise_or.reduce(lanes)
     last = n if cap is None else cap + 1  # no distance reaches n
     counts = []
     d = 0
@@ -460,11 +461,11 @@ def max_set_diameter(g: MetricGraph, sets, cap=None) -> int:
     largest hi and the 32 of smallest lo, over all sets.  best is the largest
     lower bound in any set, at most the answer, so a member closes once
     hi <= best: it cannot raise the maximum.  A pass targets only the sets
-    that have a source in it, each source needs only its own set's members,
-    and a vertex that is already a source of the pass (sets may overlap)
-    waits for the next one.  The row cache is neither read nor filled, so
-    callers with many one-off sets (cover blocks) leave it as it was; the
-    projection table reads its cached rows itself.
+    that have a source in it, and each source needs only its own set's
+    members; a vertex in several sets (they may overlap) can be the source
+    of a lane for each of them in the same pass.  The row cache is neither
+    read nor filled, so callers with many one-off sets (cover blocks) leave
+    it as it was; the projection table reads its cached rows itself.
     """
     sets = [list(s) for s in sets]
     if not sets:
@@ -508,20 +509,8 @@ def max_set_diameter(g: MetricGraph, sets, cap=None) -> int:
                 far = picks[order[:32]]
                 rest = picks[np.sort(order[32:])]
                 picks = np.concatenate([far, rest[np.argsort(lo[rest], kind="stable")[:32]]])
+        picks = picks[np.argsort(owner[picks], kind="stable")]  # each set's lanes side by side
         lane_set = owner[picks]
-        if lane_set.min() < lane_set.max():
-            # a vertex already a source of this pass (sets may overlap) waits
-            # for the next one; each set's sources go side by side
-            src = members[picks]
-            order = np.argsort(src, kind="stable")
-            again = np.zeros(picks.size, dtype=bool)
-            again[order[1:]] = src[order[1:]] == src[order[:-1]]
-            queue = np.concatenate([picks[again], queue])
-            picks = picks[~again]
-            picks = picks[np.argsort(owner[picks], kind="stable")]
-            lane_set = owner[picks]
-        # the targets are the members of the sets in the pass, and each
-        # needs only its own set's sources
         cut = np.flatnonzero(np.concatenate(([True], lane_set[1:] != lane_set[:-1])))
         part, lanes = lane_set[cut], np.append(cut, picks.size)
         cols = np.concatenate(([0], np.cumsum(size[part])))

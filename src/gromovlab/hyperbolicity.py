@@ -370,11 +370,13 @@ def four_point_delta(
     ``_first_witness`` block by block; it may span several blocks, and on a
     graph with delta 0 it is (0, 1, 2, 3).  Reports are therefore
     reproducible bit for bit.  Sampled mode needs ``samples`` >= 1 and a
-    seed; its value never exceeds the exact one.  A seed, when given, is
-    checked in either mode.
+    seed; its value never exceeds the exact one.  A seed or a sample count,
+    when given, is checked in either mode.
     """
     if seed is not None:
         seed = check_int("seed", seed, 0)
+    if samples is not None or mode == "sampled":
+        samples = check_int("samples", samples, 1)
     if mode == "exact":
         if g.n < 4:
             return DeltaReport(0.0, "exact", None, None, None, g.n)
@@ -400,7 +402,6 @@ def four_point_delta(
         return DeltaReport(best / 2.0, "exact", None, None, witness, g.n)
 
     if mode == "sampled":
-        samples = check_int("samples", samples, 1)
         if seed is None:
             raise ValueError("sampled mode needs a seed")
         if g.n < 4:

@@ -57,7 +57,7 @@ class ProjectionTable:
 
     def __init__(self, g: MetricGraph, fam: SubgraphFamily):
         fam.validate_against(g)
-        self._g = g
+        self._g, self._fam = g, fam
         members = [list(mem) for mem in fam.members]
         m = len(members)
         self._dist = np.empty((m, g.n), dtype=np.int32)  # row d: distances to H_d
@@ -86,6 +86,7 @@ class ProjectionTable:
         in that of d (two masked max reductions over the U_c block),
         d_c(b, d) = max(X[b, d], X[b, b], X[d, d]).
         """
+        c = self._fam.check_index(c)
         pts, P = self._points[c], self._proj[c]
         m = len(P)
         Y = np.zeros((m, len(pts)), dtype=np.int32)  # Y[b, q]: max d(p, q) over p in pi_c(b)
@@ -103,6 +104,9 @@ class ProjectionTable:
         """x_{c,d} for every member d: the id-minimal point of the projection
         of H_d into H_c at minimal distance to H_d (entry c is meaningless).
         Needs at least two members."""
+        c = self._fam.check_index(c)
+        if len(self._fam) < 2:
+            raise ValueError("anchors need a family of at least two members")
         pts = self._points[c]
         return pts[np.where(self._proj[c], self._dist[:, pts], self._g.n).argmin(axis=1)]
 
@@ -112,14 +116,14 @@ def triple_distance(g: MetricGraph, fam: SubgraphFamily, a: int, b: int, c: int)
     a; symmetric in (b, c).  One ``nearest_points`` out of H_a labels every
     vertex with its nearest points in H_a, and the labels OR-ed over H_b and
     H_c give the union, whose ``set_diameter`` is the entry
-    ``ProjectionTable(g, fam).member(a)[b, c]``."""
+    ``ProjectionTable(g, fam).member(a)[b, c]``.  Only a, b and c are validated."""
     a, b, c = (fam.check_index(x) for x in (a, b, c))
     if len({a, b, c}) != 3:
         raise ValueError("triple distance needs three distinct member indices")
-    fam.validate_against(g)
-    members = fam.members
-    labels = nearest_points(g, members[a])[1]
-    return set_diameter(g, nearest_set(members[a], labels, chain(members[b], members[c])))
+    for x in (a, b, c):
+        fam.validate_member(g, x)
+    labels = nearest_points(g, fam[a])[1]
+    return set_diameter(g, nearest_set(fam[a], labels, chain(fam[b], fam[c])))
 
 
 def auto_theta(R: int) -> float:

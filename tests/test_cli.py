@@ -114,6 +114,14 @@ def test_validation_errors_exit_2(tmp_path):
     assert run(["delta", str(bad)]) == 2
 
 
+def test_a_bad_sample_count_exits_2_in_exact_mode(tmp_path, capsys):
+    out = tmp_path / "c"
+    assert run(["gen", "cycle", "--n", "8", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["delta", str(out) + ".graph.json", "--samples", "0"]) == 2
+    assert "samples must be >= 1, got 0" in capsys.readouterr().err
+
+
 MISTYPED = [
     ("delta", "graph", {"n": 5, "edges": 3}),
     ("delta", "graph", {"n": 5, "edges": [1, 2]}),

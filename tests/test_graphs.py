@@ -13,7 +13,7 @@ import _oracles as orc
 from _corpus import SMALL_NAMES, connected_graphs, small
 from gromovlab import graphs
 from gromovlab.asdimlab import cover_at_scale
-from gromovlab.generators import farey_ball, grid, tree_of_rings
+from gromovlab.generators import cycle, farey_ball, grid, tree_of_rings
 from gromovlab.graphs import (
     MetricGraph,
     block_tree,
@@ -416,6 +416,50 @@ def test_bit_bfs_counts_only_the_needed_lanes():
             capped = np.where(rows <= cap + 1, rows, cap + 2)[:, targets]
             got = graphs._bit_bfs(graphs._csr(g), sources, targets, cap, need)
             assert np.array_equal(got, np.where(bit == 1, capped, 0))
+
+
+@pytest.mark.parametrize("k", [2, 6, 64])
+def test_bit_bfs_lets_one_vertex_fill_several_lanes(k):
+    rng = np.random.default_rng(k)
+    for g in (grid(9, 9), farey_ball(6), tree_of_rings(2, 3, 12)[0]):
+        # k lanes from at most k // 2 + 1 vertices, lane 63 a repeat when k = 64
+        sources = rng.choice(rng.choice(g.n, k // 2 + 1, replace=False), k)
+        sources[-1] = sources[0]
+        rows = np.array([multi_source_distances(g, [s]) for s in sources])
+        targets = np.arange(0, g.n, 2)
+        got = graphs._bit_bfs(graphs._csr(g), sources, targets)
+        assert np.array_equal(got, rows[:, targets])
+        need = rng.integers(0, 2**k, size=targets.size, dtype=np.uint64)
+        bit = (need[None, :] >> np.arange(k, dtype=np.uint64)[:, None]) & np.uint64(1)
+        for cap in (None, 0, 2):
+            capped = rows if cap is None else np.where(rows <= cap + 1, rows, cap + 2)
+            got = graphs._bit_bfs(graphs._csr(g), sources, targets, cap, need)
+            assert np.array_equal(got, np.where(bit == 1, capped[:, targets], 0))
+
+
+@pytest.mark.parametrize(
+    "g,r,most", [(cycle(30), 3, 3), (tree_of_rings(2, 3, 12)[0], 2, 7)], ids=["cycle-30", "rings-2-3-12"]
+)
+def test_overlapping_balls_share_their_passes(monkeypatch, g, r, most):
+    # the ball of radius r around every vertex: a vertex lies in several
+    # balls and may be a source of each in one pass; making a repeated
+    # source wait for a later pass takes 10 passes on cycle(30), 27 on
+    # rings-2-3-12
+    passes = []
+    real = graphs._bit_bfs
+
+    def counting(*args, **kwargs):
+        passes.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "_bit_bfs", counting)
+    balls = [g.ball(v, r) for v in range(g.n)]
+    D = orc.distance_matrix(g)
+    expect = max(orc.set_diameter_oracle(D, b) for b in balls)
+    assert max_set_diameter(g, balls) == expect
+    assert len(passes) <= most
+    for cap in range(expect):
+        assert cap < max_set_diameter(g, balls, cap) <= expect
 
 
 @settings(max_examples=80, deadline=None)

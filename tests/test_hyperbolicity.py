@@ -273,6 +273,16 @@ def test_sampled_mode_validates_its_arguments():
         four_point_delta(g, mode="montecarlo")
 
 
+@pytest.mark.parametrize("samples", ["x", -3, 0, True, 2.5])
+def test_exact_mode_checks_a_given_sample_count(samples):
+    g = small("cycle-8")
+    with pytest.raises(ValueError, match="samples must be"):
+        four_point_delta(g, samples=samples)
+    with pytest.raises(ValueError, match="samples must be"):
+        four_point_delta(g, mode="sampled", samples=samples, seed=1)
+    assert four_point_delta(g, samples=None).samples is None
+
+
 @pytest.mark.parametrize("g", [path(6), tree(3, 3)], ids=["path-6", "tree-3-3"])
 def test_zero_delta_witness_is_four_distinct_vertices(g):
     rep = four_point_delta(g)

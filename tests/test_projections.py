@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,9 +108,38 @@ def test_triple_distance_is_symmetric_and_matches_the_oracle():
             triple_distance(g, fam, bad, 0, 1)
 
 
+def test_triple_distance_validates_the_members_it_reads():
+    g, fam = family_instance("rings-2-3-12")
+    m = len(fam)
+    # member m does not induce a connected subgraph, member m + 1 leaves g
+    wider = SubgraphFamily([*fam.members, [0, g.n - 1], [0, g.n]])
+    assert triple_distance(g, wider, 0, 1, 2) == triple_distance(g, fam, 0, 1, 2)
+    for a, b, c in ((m, 0, 1), (0, m, 1), (0, 1, m)):
+        with pytest.raises(ValueError, match=f"family member {m} does not induce a connected"):
+            triple_distance(g, wider, a, b, c)
+    with pytest.raises(ValueError, match=f"family member {m + 1} references unknown vertex {g.n}"):
+        triple_distance(g, wider, 0, 1, m + 1)
+
+
 @functools.lru_cache(maxsize=None)
 def projection_table(name):
     return ProjectionTable(*family_instance(name))
+
+
+def test_table_accessors_check_their_member_index():
+    table = projection_table("rings-2-3-12")
+    m = 12
+    for bad in (-1, m):
+        for read in (table.member, table.anchors):
+            with pytest.raises(ValueError, match=f"unknown member index {bad} \\(family has {m}"):
+                read(bad)
+    for bad in (True, 2.0, "1"):
+        for read in (table.member, table.anchors):
+            with pytest.raises(ValueError, match="member index must be an integer"):
+                read(bad)
+    assert table.anchors(np.int64(1)).tolist() == table.anchors(1).tolist()
+    with pytest.raises(ValueError, match="anchors need a family of at least two members"):
+        ProjectionTable(*family_instance("rings-1-1-12")).anchors(0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,9 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from functools import reduce
 from itertools import chain
-from operator import or_
 
 import numpy as np
 
@@ -305,11 +303,11 @@ class MetricGraph:
         if not vs:
             raise ValueError("induced subgraph needs at least one vertex")
         old_to_new = {v: i for i, v in enumerate(vs)}
-        inside = set(vs)
         sub_edges = [
             (old_to_new[a], old_to_new[b])
-            for (a, b) in self._edges
-            if a in inside and b in inside
+            for a in vs
+            for b in self._adj[a]
+            if a < b and b in old_to_new
         ]
         labels = {old_to_new[v]: self._labels[v] for v in vs if v in self._labels}
         sub = MetricGraph(len(vs), sub_edges, labels or None)
@@ -362,12 +360,6 @@ def nearest_points(g: MetricGraph, H):
                 if dist[x] == d - 1:
                     labels[w] |= labels[x]
     return np.asarray(dist, dtype=np.int32), labels
-
-
-def nearest_set(hs: list, labels: list, xs) -> tuple:
-    """The points of hs = sorted(H) nearest to some vertex of xs, from nearest_points(g, H)."""
-    mask = reduce(or_, (labels[x] for x in xs))
-    return tuple(h for i, h in enumerate(hs) if mask >> i & 1)
 
 
 def _csr(g: MetricGraph):

@@ -10,14 +10,24 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from functools import reduce
-from itertools import chain
+from itertools import chain, compress
 from operator import or_
 
 import numpy as np
 
 from .electrify import SubgraphFamily
-from .graphs import MetricGraph, _check_vertex, check_real, set_diameter
-from .graphs import nearest_points, nearest_set
+from .graphs import MetricGraph, _check_vertex, check_real, nearest_points, set_diameter
+
+
+def _projection(g: MetricGraph, hs, sets) -> np.ndarray:
+    """Boolean P[d, i]: is hs[i] (sorted, distinct) nearest to some vertex of
+    sets[d]?  The labels of one ``nearest_points`` out of H = hs, OR-ed over
+    each set and unpacked; an empty set gives an empty row."""
+    labels = nearest_points(g, hs)[1]
+    size = (len(hs) + 7) // 8
+    masks = [reduce(or_, (labels[x] for x in xs), 0).to_bytes(size, "little") for xs in sets]
+    bits = np.frombuffer(b"".join(masks), dtype=np.uint8).reshape(len(sets), size)
+    return np.unpackbits(bits, axis=1, count=len(hs), bitorder="little").astype(bool)
 
 
 def project(g: MetricGraph, H, x: int) -> tuple:
@@ -27,7 +37,7 @@ def project(g: MetricGraph, H, x: int) -> tuple:
         raise ValueError("cannot project onto an empty vertex set")
     if not g.is_connected_subset(hs):
         raise ValueError("projection target does not induce a connected subgraph")
-    return nearest_set(hs, nearest_points(g, hs)[1], [_check_vertex(g.n, x)])
+    return tuple(compress(hs, _projection(g, hs, [[_check_vertex(g.n, x)]])[0]))
 
 
 def proj_set_diameter(g: MetricGraph, H_c, H_d) -> int:
@@ -40,7 +50,7 @@ def proj_set_diameter(g: MetricGraph, H_c, H_d) -> int:
         raise ValueError("family members must be nonempty")
     if not g.is_connected_subset(hc):
         raise ValueError("projection target does not induce a connected subgraph")
-    return set_diameter(g, nearest_set(hc, nearest_points(g, hc)[1], hd))
+    return set_diameter(g, compress(hc, _projection(g, hc, [hd])[0]))
 
 
 class ProjectionTable:
@@ -50,31 +60,25 @@ class ProjectionTable:
 
     For member c, U_c holds the sorted points of H_c that some other member
     projects to, and the boolean P_c[d, j] says whether U_c[j] lies in the
-    projection of H_d, built by OR-ing the labels of one ``nearest_points``
-    per member over H_d.  One ``prefetch_rows`` over the union of all U_c
-    then caches exactly the distance rows that ``member`` reads.
+    projection of H_d: one ``_projection`` per member, with every member as
+    a set and its own row empty.  One ``prefetch_rows`` over the union of all
+    U_c then caches exactly the distance rows that ``member`` and
+    ``anchors`` read; the table holds no other distances.
     """
 
     def __init__(self, g: MetricGraph, fam: SubgraphFamily):
         fam.validate_against(g)
         self._g, self._fam = g, fam
-        members = [list(mem) for mem in fam.members]
-        m = len(members)
-        self._dist = np.empty((m, g.n), dtype=np.int32)  # row d: distances to H_d
+        members = fam.members
         self._points = []  # U_c, as vertex ids
         self._proj = []  # P_c, (m, |U_c|) boolean; row c is empty
         for c, hs in enumerate(members):
-            self._dist[c], labels = nearest_points(g, hs)
-            size = (len(hs) + 7) // 8
-            masks = b"".join(
-                (0 if d == c else reduce(or_, (labels[x] for x in hd))).to_bytes(size, "little")
-                for d, hd in enumerate(members)
-            )
-            bits = np.frombuffer(masks, dtype=np.uint8).reshape(m, size)
-            P = np.unpackbits(bits, axis=1, count=len(hs), bitorder="little").astype(bool)
+            P = _projection(g, hs, [() if d == c else hd for d, hd in enumerate(members)])
             used = np.flatnonzero(P.any(axis=0))
             self._points.append(np.asarray(hs)[used])
             self._proj.append(P[:, used])
+        self._flat = np.fromiter(chain.from_iterable(members), dtype=np.intp)  # H_0, H_1, ...
+        self._starts = np.cumsum([0] + [len(hs) for hs in members[:-1]])
         g.prefetch_rows(chain.from_iterable(self._points))
 
     def member(self, c: int) -> np.ndarray:
@@ -108,22 +112,22 @@ class ProjectionTable:
         if len(self._fam) < 2:
             raise ValueError("anchors need a family of at least two members")
         pts = self._points[c]
-        return pts[np.where(self._proj[c], self._dist[:, pts], self._g.n).argmin(axis=1)]
+        dist = [self._g.distances_from(p)[self._flat] for p in pts]
+        near = np.minimum.reduceat(dist, self._starts, axis=1).T  # near[d, j] = d(H_d, U_c[j])
+        return pts[np.where(self._proj[c], near, self._g.n).argmin(axis=1)]
 
 
 def triple_distance(g: MetricGraph, fam: SubgraphFamily, a: int, b: int, c: int) -> int:
     """Diameter of the union of the projections of members b and c into member
-    a; symmetric in (b, c).  One ``nearest_points`` out of H_a labels every
-    vertex with its nearest points in H_a, and the labels OR-ed over H_b and
-    H_c give the union, whose ``set_diameter`` is the entry
+    a; symmetric in (b, c).  The union is one ``_projection`` of H_b + H_c
+    onto H_a, and its ``set_diameter`` is the entry
     ``ProjectionTable(g, fam).member(a)[b, c]``.  Only a, b and c are validated."""
     a, b, c = (fam.check_index(x) for x in (a, b, c))
     if len({a, b, c}) != 3:
         raise ValueError("triple distance needs three distinct member indices")
     for x in (a, b, c):
         fam.validate_member(g, x)
-    labels = nearest_points(g, fam[a])[1]
-    return set_diameter(g, nearest_set(fam[a], labels, chain(fam[b], fam[c])))
+    return set_diameter(g, compress(fam[a], _projection(g, fam[a], [fam[b] + fam[c]])[0]))
 
 
 def auto_theta(R: int) -> float:

@@ -269,8 +269,8 @@ def test_cover_diameter_shares_its_bfs_passes_across_blocks(monkeypatch, make, R
 
 
 def test_overlapping_loaded_blocks_keep_their_diameter():
-    # every block holds vertex 0, the first pick of each: all but one of
-    # those picks wait for a later pass
+    # every block holds vertex 0, the first pick of each: vertex 0 fills
+    # one lane per block in the first pass
     g = grid(12, 12)
     blocks = [[0, *range(12 * y, 12 * y + 12)] for y in range(12)]
     cov = cover_from_obj(g, {"R": 1, "blocks": blocks})

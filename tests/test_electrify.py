@@ -189,6 +189,11 @@ def test_cone_structure_validation_catches_corruption():
     bad["cones"] = [[0, 5]]
     with pytest.raises(FormatError, match="must have id"):
         eg_from_obj(bad)
+    # a one-member family whose cone claims member index 1
+    bad = eg_to_obj(electrify(path(6), SubgraphFamily([[0, 1, 2]])))
+    bad["cones"] = [[1, 7]]
+    with pytest.raises(FormatError, match="cone indices must be dense"):
+        eg_from_obj(bad)
     # base_size beyond the vertex count
     bad = json.loads(json.dumps(obj))
     bad["base_size"] = eg.graph.n + 1

@@ -10,7 +10,7 @@ from _corpus import quasitree_setup
 from gromovlab import embedding, hyperbolicity
 from gromovlab.electrify import SubgraphFamily, electrify
 from gromovlab.embedding import cone_exit_anchor, edge_lipschitz, enlargement, qi_fit
-from gromovlab.generators import tree_of_rings
+from gromovlab.generators import path, tree_of_rings
 from gromovlab.graphs import MetricGraph, dump_json
 from gromovlab.hyperbolicity import four_point_delta
 from gromovlab.projections import axiom_check
@@ -49,6 +49,9 @@ def test_anchor_validation():
     for bad in ("3", 2.5, True):
         with pytest.raises(ValueError, match="basepoint must be an integer"):
             cone_exit_anchor(eg, bad, 5)
+    eg = electrify(path(6), SubgraphFamily([[0, 1, 2]]))
+    with pytest.raises(ValueError, match="basepoint 5 lies in no family member"):
+        cone_exit_anchor(eg, 5, 0)
 
 
 def test_qi_fit_on_the_small_ring_tree():

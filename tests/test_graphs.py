@@ -27,10 +27,10 @@ from gromovlab.graphs import (
     max_set_diameter,
     multi_source_distances,
     nearest_points,
-    nearest_set,
     set_diameter,
     unwrap_payload,
 )
+from gromovlab.projections import _projection
 
 
 def test_rejects_bad_vertex_counts():
@@ -52,6 +52,8 @@ def test_rejects_parallel_edges_in_either_orientation():
 def test_rejects_weighted_edge_triples():
     with pytest.raises(ValueError, match="not a pair"):
         MetricGraph(2, [(0, 1, 3.0)])
+    with pytest.raises(ValueError, match="weighted graphs are not supported"):
+        graph_from_obj({"n": 2, "edges": [[0, 1]], "weights": [1]})
 
 
 def test_rejects_unknown_and_non_integer_vertices():
@@ -163,6 +165,21 @@ def test_induced_rejects_disconnected_subsets():
     assert g.is_connected_subset([3, 4, 5])
     with pytest.raises(ValueError):
         g.induced([0, 1, 10])
+    assert not g.is_connected_subset([])
+    with pytest.raises(ValueError, match="induced subgraph needs at least one vertex"):
+        g.induced([])
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_graphs(), st.data())
+def test_an_induced_ball_is_the_networkx_induced_subgraph(g, data):
+    v = data.draw(st.integers(0, g.n - 1))
+    keep = g.ball(v, data.draw(st.integers(0, 4)))
+    sub, old_to_new = g.induced(keep)
+    assert old_to_new == {w: i for i, w in enumerate(keep)}
+    h = nx.relabel_nodes(orc.to_networkx(g).subgraph(keep), old_to_new)
+    assert sub.n == h.number_of_nodes()
+    assert sorted(sub.edges) == sorted(tuple(sorted(e)) for e in h.edges)
 
 
 def test_multi_source_distance_is_min_over_rows():
@@ -559,7 +576,7 @@ def test_nearest_points_and_sets_match_the_distance_matrix_argmin(g, data):
         assert got == orc.projection_oracle(D, hs, v)
     xs = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
     union = set().union(*(orc.projection_oracle(D, hs, x) for x in xs))
-    assert nearest_set(hs, labels, xs) == tuple(sorted(union))
+    assert _projection(g, hs, [xs])[0].tolist() == [h in union for h in hs]
 
 
 def test_nearest_points_validation():

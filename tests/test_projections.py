@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,11 @@ def test_project_input_validation():
         project(g, [], 0)
     with pytest.raises(ValueError, match="connected"):
         project(g, [0, 9], 4)
+    h = path(6)
+    with pytest.raises(ValueError, match="family members must be nonempty"):
+        proj_set_diameter(h, [0, 1], [])
+    with pytest.raises(ValueError, match="projection target does not induce a connected subgraph"):
+        proj_set_diameter(h, [0, 2], [4])
 
 
 def test_set_diameter_matches_the_oracle():
@@ -209,6 +215,21 @@ def test_the_row_cache_holds_only_the_rows_of_projection_points(spec, rows):
                     points.update(orc.projection_oracle(D, hc, x))
     assert set(g._dist_rows) == points
     assert len(points) == rows
+
+
+def test_the_table_holds_its_rows_and_a_byte_per_member_vertex():
+    # the cached rows of the |U| distinct projection points, 4 n |U| bytes,
+    # are the only distances the table holds; all else fits in m n bytes
+    g, fam = tree_of_rings(4, 3, 16)
+    tracemalloc.start()
+    try:
+        table = ProjectionTable(g, fam)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    points = len(set(np.concatenate(table._points).tolist()))
+    assert (g.n, len(fam), points) == (1801, 120, 40)
+    assert held < 4 * g.n * points + len(fam) * g.n
 
 
 @pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])

@@ -158,6 +158,10 @@ def test_wide_points_flags_deep_cone_crossings():
     for theta in (float("nan"), float("inf"), 0.0, True, "3"):
         with pytest.raises(ValueError, match="theta"):
             wide_points(eg, walk, theta)
+    eg = electrify(path(6), SubgraphFamily([[0, 1, 2]]))  # the cone is vertex 6
+    with pytest.raises(ValueError, match="only defined for efficient walks"):
+        wide_points(eg, [6, 0, 6], 1.0)
+    assert wide_points(eg, [6, 2, 3], 1.0) == []  # a visit at an endpoint is skipped
 
 
 def test_y_json_round_trip():

@@ -39,7 +39,15 @@ from .generators import (
     tree,
     tree_of_rings,
 )
-from .graphs import SizeLimitError, dump_json, graph_to_dot, graph_to_obj, load_graph, read_json
+from .graphs import (
+    SizeLimitError,
+    dump_json,
+    graph_to_dot,
+    graph_to_obj,
+    load_graph,
+    read_json,
+    write_json,
+)
 from .hyperbolicity import four_point_delta
 from .projections import axiom_check
 from .quasitree import RULES, build_quasitree, y_to_obj
@@ -86,7 +94,7 @@ def _write(args, started: float, suffix: str, data, seeds=None) -> None:
     }
     path = f"{args.out}{suffix}"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json({"manifest": manifest, "data": data}))
+        write_json({"manifest": manifest, "data": data}, fh)
     print(f"wrote {path}")
 
 

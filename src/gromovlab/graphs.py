@@ -644,8 +644,19 @@ def load_graph(path) -> MetricGraph:
     return graph_from_obj(read_json(path))
 
 
+# the one encoding of every JSON artifact and digest
+_JSON_OPTIONS = {"sort_keys": True, "indent": 2}
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, **_JSON_OPTIONS) + "\n"
+
+
+def write_json(obj, fh) -> None:
+    """Stream ``dump_json(obj)`` to the text file ``fh`` without building
+    the whole string."""
+    json.dump(obj, fh, **_JSON_OPTIONS)
+    fh.write("\n")
 
 
 def graph_to_dot(g: MetricGraph, name: str = "G") -> str:

@@ -28,8 +28,13 @@ the graph whose nearest vertex in the block is a given vertex) of four
 vertices of one block whose own maximum defect is the graph's, so each
 distinct such block is scanned once in its own labels, and the least
 quadruple over the blocks is kept.
-Sampled mode draws quadruples from a seeded generator and scores them a
-chunk at a time.
+Sampled mode draws each chunk of quadruples from a seeded generator in one
+call, four bounded ranks u_j in [0, n - j) per quadruple, and makes v_j the
+u_j-th smallest vertex not among v_0..v_{j-1} (``_ranks_to_vertices``): each
+ordered quadruple of distinct vertices is equally likely, and since every
+quadruple takes exactly four draws the stream does not depend on the chunk
+size.  Each chunk is scored as arrays from cached distance rows, one per
+distinct w, x or y source, so at most min(n, 3 * samples) rows are held.
 """
 
 from __future__ import annotations
@@ -350,6 +355,19 @@ def _first_witness(parts: list, scanned: dict, t: int) -> tuple:
     return best
 
 
+def _ranks_to_vertices(quads: np.ndarray) -> np.ndarray:
+    """Map each row of ranks (u0, u1, u2, u3), u_j in [0, n - j), in place
+    to the ordered quadruple of distinct vertices (v0, v1, v2, v3) in which
+    v_j is the u_j-th smallest vertex not among v_0..v_{j-1}: a bijection
+    onto the ordered quadruples of distinct vertices of 0..n-1.  A rank is
+    moved past each earlier pick it reaches, taken in increasing order."""
+    for j in range(1, 4):
+        col = quads[:, j]
+        for picked in np.sort(quads[:, :j], axis=1).T:
+            col += col >= picked
+    return quads
+
+
 def four_point_delta(
     g: MetricGraph,
     mode: str = "exact",
@@ -409,10 +427,10 @@ def four_point_delta(
         rng = np.random.default_rng(seed)
         best = -1
         witness = None
+        bounds = [g.n, g.n - 1, g.n - 2, g.n - 3]
         for start in range(0, samples, _SAMPLE_CHUNK):
-            quads = np.empty((min(_SAMPLE_CHUNK, samples - start), 4), dtype=np.intp)
-            for q in quads:
-                q[:] = rng.choice(g.n, size=4, replace=False)
+            k = min(_SAMPLE_CHUNK, samples - start)
+            quads = _ranks_to_vertices(rng.integers(0, bounds, size=(k, 4)))
             # the six distances of every quadruple, rows from w, x and y:
             # d(w,x) d(y,z) | d(w,y) d(x,z) | d(w,z) d(x,y)
             d = g.pair_distances(

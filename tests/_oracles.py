@@ -77,15 +77,22 @@ def quadruple_defect(D, quad):
 
 def sampled_delta_loop(D, samples, seed):
     """Sampled four-point delta one quadruple at a time, as (delta, witness):
-    the draws of the package's sampled mode (four distinct vertices per
-    quadruple), and the first quadruple of the largest defect as witness."""
+    the draws of the package's sampled mode, four bounded ranks per
+    quadruple, each rank u_j made the u_j-th smallest vertex not picked
+    before it, and the first quadruple of the largest defect as witness."""
     n = D.shape[0]
     if n < 4:
         return 0.0, None
     rng = np.random.default_rng(seed)
     best, witness = -1, None
     for _ in range(samples):
-        quad = tuple(int(v) for v in rng.choice(n, size=4, replace=False))
+        quad = []
+        for u in rng.integers(0, [n, n - 1, n - 2, n - 3]).tolist():
+            for picked in sorted(quad):
+                if u >= picked:
+                    u += 1
+            quad.append(u)
+        quad = tuple(quad)
         defect = quadruple_defect(D, quad)
         if defect > best:
             best, witness = defect, quad

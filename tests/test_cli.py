@@ -98,6 +98,14 @@ def test_delta_summary_and_artifact(tmp_path, capsys):
     assert obj["manifest"]["inputs_sha256"]["graph"]
 
 
+def test_artifacts_are_written_in_the_digest_encoding(rings, tmp_path):
+    # the streamed file is byte for byte dump_json of its wrapper, manifest included
+    graph, family = rings
+    assert run(["embed", graph, family, "--pairs", "50", "--out", str(tmp_path / "e")]) == 0
+    text = (tmp_path / "e.embed.json").read_text(encoding="utf-8")
+    assert text == dump_json(json.loads(text))
+
+
 def test_usage_errors_exit_64(tmp_path):
     assert run(["delta", "foo.json", "--bogus"]) == 64
     assert run(["frobnicate"]) == 64
@@ -478,7 +486,7 @@ PINNED = {
     "delta-exact": (["delta", "{graph}"], {".delta.json": "2ce91cdc8fe75451"}, ["graph"], {}),
     "delta-sampled": (
         ["delta", "{graph}", "--mode", "sampled", "--samples", "200", "--seed", "3"],
-        {".delta.json": "0aca8c7e058ab389"}, ["graph"], {"seed": 3},
+        {".delta.json": "b7b500071b1237ae"}, ["graph"], {"seed": 3},
     ),
     "axioms": (
         ["axioms", "{graph}", "{family}", "--seed", "7"],

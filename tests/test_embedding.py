@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import _oracles as orc
 from _corpus import quasitree_setup
 from gromovlab import embedding, hyperbolicity
 from gromovlab.electrify import SubgraphFamily, electrify
@@ -204,7 +205,12 @@ def test_qi_fit_samples_delta_of_members_above_the_exact_guard():
     g, fam = MetricGraph(801, edges), SubgraphFamily([[0, *rim0], [401, *rim1]])
     theta = axiom_check(g, fam).theta
     y = build_quasitree(g, fam, theta)
-    rep = qi_fit(electrify(g, fam), y, basepoint=0, pair_budget=200)
+    eg = electrify(g, fam)
+    rep = qi_fit(eg, y, basepoint=0, pair_budget=200)
     assert (rep.eg_delta_mode, rep.peripheral_delta_mode) == ("sampled", "sampled")
     # a sampled value is a lower bound; a wheel has diameter 2, so delta <= 1
-    assert 0 < rep.peripheral_delta_max <= 1.0
+    assert rep.peripheral_delta_max <= 1.0
+    assert rep.peripheral_delta_max == max(
+        orc.sampled_delta_loop(orc.distance_matrix(eg.intrinsic(c)[0]), 4000, 11)[0]
+        for c in range(len(fam))
+    )

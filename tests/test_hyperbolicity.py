@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,12 @@ from _corpus import connected_graphs, family_instance, small
 from gromovlab import hyperbolicity
 from gromovlab.generators import cycle, farey_ball, grid, path, tree, tree_of_rings
 from gromovlab.graphs import MetricGraph, SizeLimitError, _csr, block_tree
-from gromovlab.hyperbolicity import _far_apart_pairs, four_point_delta, quasiconvexity_constant
+from gromovlab.hyperbolicity import (
+    _far_apart_pairs,
+    _ranks_to_vertices,
+    four_point_delta,
+    quasiconvexity_constant,
+)
 
 # frozen reference values, all confirmed by the oracles below
 KNOWN_DELTAS = {
@@ -248,7 +254,7 @@ def test_sampled_report_is_pinned_on_a_large_ring_tree():
         "mode": "sampled",
         "samples": 2000,
         "seed": 3,
-        "witness": [215, 224, 81, 88],
+        "witness": [193, 309, 53, 57],
         "n_vertices": 430,
     }
 
@@ -261,6 +267,25 @@ def test_sampled_chunks_match_the_per_quadruple_loop(g, seed, samples):
     rep = four_point_delta(g, mode="sampled", samples=samples, seed=seed)
     assert (rep.delta, rep.witness) == orc.sampled_delta_loop(
         orc.distance_matrix(g), samples, seed)
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_rank_mapping_is_a_bijection_onto_ordered_quadruples(n):
+    ranks = np.array(list(itertools.product(range(n), range(n - 1), range(n - 2), range(n - 3))))
+    quads = _ranks_to_vertices(ranks).tolist()
+    assert sorted(map(tuple, quads)) == sorted(itertools.permutations(range(n), 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 2**31), st.integers(0, 2**32 - 1))
+def test_drawn_quadruples_are_distinct_and_in_range(n, seed):
+    # the draw of sampled mode, with the largest and the smallest ranks
+    bounds = [n, n - 1, n - 2, n - 3]
+    ranks = np.random.default_rng(seed).integers(0, bounds, size=(256, 4))
+    ranks = np.vstack([ranks, np.subtract(bounds, 1), np.zeros(4, dtype=np.int64)])
+    quads = np.sort(_ranks_to_vertices(ranks), axis=1)
+    assert quads[:, 0].min() >= 0 and quads[:, 3].max() < n
+    assert (quads[:, 1:] > quads[:, :-1]).all()
 
 
 def test_sampled_mode_validates_its_arguments():

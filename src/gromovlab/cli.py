@@ -19,7 +19,7 @@ import os
 import sys
 import time
 
-from . import __version__
+from . import __version__, generators
 from .asdimlab import cover_at_scale, dim_profile, genus_bounds
 from .electrify import (
     electrify,
@@ -29,16 +29,6 @@ from .electrify import (
     penetration_profile,
 )
 from .embedding import enlargement, qi_fit
-from .generators import (
-    cycle,
-    farey_ball,
-    grid,
-    hierarchy_tower,
-    path,
-    tower_audit,
-    tree,
-    tree_of_rings,
-)
 from .graphs import (
     SizeLimitError,
     dump_json,
@@ -112,45 +102,48 @@ def _parse_theta(raw):
 # ---------------------------------------------------------------- generators
 
 
+# kind -> (help, name of its function in ``generators``, its integer flags in
+# call order with their defaults, None for required); the function is looked
+# up by name at each call, so a rebinding of the module attribute is seen
+_GENERATORS = {
+    "tree": ("rooted tree with the given vertex degree", "tree",
+             {"depth": None, "valence": None}),
+    "cycle": ("cycle graph", "cycle", {"n": None}),
+    "path": ("path graph", "path", {"n": None}),
+    "grid": ("w x h grid graph", "grid", {"width": None, "height": None}),
+    "tree-of-rings": ("tree with every edge subdivided through a ring", "tree_of_rings",
+                      {"depth": None, "valence": None, "ring_len": None}),
+    "farey": ("ball in the Farey graph around 0/1", "farey_ball", {"radius": None}),
+    "tower": ("chain of graphs linked by electrification", "hierarchy_tower",
+              {"levels": None, "valence": 3, "ring_len": 12, "depth": 2}),
+}
+
+
 def cmd_gen(args, started: float) -> int:
     kind = args.kind
-    family = None
-    if kind == "tree":
-        g = tree(args.depth, args.valence)
-    elif kind == "cycle":
-        g = cycle(args.n)
-    elif kind == "path":
-        g = path(args.n)
-    elif kind == "grid":
-        g = grid(args.width, args.height)
-    elif kind == "tree-of-rings":
-        g, family = tree_of_rings(args.depth, args.valence, args.ring_len)
-    elif kind == "farey":
-        g = farey_ball(args.radius)
-    elif kind == "tower":
-        levels = hierarchy_tower(args.levels, args.valence, args.ring_len, args.depth)
-        audit = tower_audit(levels)
-        for i, (g, fam) in enumerate(levels, start=1):
-            _write(args, started, f".level{i}.graph.json", graph_to_obj(g))
-            _write(args, started, f".level{i}.family.json", family_to_obj(fam))
-            print(f"level {i}: {g.n} vertices, {len(g.edges)} edges, {len(fam)} members")
+    _, name, flags = _GENERATORS[kind]
+    made = getattr(generators, name)(*(getattr(args, flag) for flag in flags))
+    tower = kind == "tower"
+    # every kind but the tower makes one level: a graph, or a (graph, family) pair
+    levels = made if tower else [made if isinstance(made, tuple) else (made, None)]
+    for i, (g, family) in enumerate(levels, start=1):
+        stem = f".level{i}" if tower else ""
+        _write(args, started, f"{stem}.graph.json", graph_to_obj(g))
+        if family is not None:
+            _write(args, started, f"{stem}.family.json", family_to_obj(family))
+        if args.dot:
+            with open(f"{args.out}{stem}.dot", "w", encoding="utf-8") as fh:
+                fh.write(graph_to_dot(g))
+            print(f"wrote {args.out}{stem}.dot")
+        head, members = (f"level {i}", "members") if tower else (kind, "family members")
+        extra = f", {len(family)} {members}" if family is not None else ""
+        print(f"{head}: {g.n} vertices, {len(g.edges)} edges{extra}")
+    if tower:
+        audit = generators.tower_audit(levels)
         print(
             f"tower audit: {'ok' if audit['ok'] else 'FAILED'} "
             f"({audit['levels_checked']} levels checked)"
         )
-        return 0
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown generator {kind!r}")
-
-    _write(args, started, ".graph.json", graph_to_obj(g))
-    if family is not None:
-        _write(args, started, ".family.json", family_to_obj(family))
-    if args.dot:
-        with open(f"{args.out}.dot", "w", encoding="utf-8") as fh:
-            fh.write(graph_to_dot(g))
-        print(f"wrote {args.out}.dot")
-    extra = f", {len(family)} family members" if family is not None else ""
-    print(f"{kind}: {g.n} vertices, {len(g.edges)} edges{extra}")
     return 0
 
 
@@ -367,27 +360,11 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gen", help="deterministic graph generators")
     gen_sub = p.add_subparsers(dest="kind", required=True, parser_class=_Parser)
 
-    q = gen_sub.add_parser("tree", help="rooted tree with the given vertex degree")
-    q.add_argument("--depth", type=int, required=True)
-    q.add_argument("--valence", type=int, required=True)
-    for name, helptext in (("cycle", "cycle graph"), ("path", "path graph")):
-        q = gen_sub.add_parser(name, help=helptext)
-        q.add_argument("--n", type=int, required=True)
-    q = gen_sub.add_parser("grid", help="w x h grid graph")
-    q.add_argument("--width", type=int, required=True)
-    q.add_argument("--height", type=int, required=True)
-    q = gen_sub.add_parser("tree-of-rings", help="tree with every edge subdivided through a ring")
-    q.add_argument("--depth", type=int, required=True)
-    q.add_argument("--valence", type=int, required=True)
-    q.add_argument("--ring-len", type=int, required=True, dest="ring_len")
-    q = gen_sub.add_parser("farey", help="ball in the Farey graph around 0/1")
-    q.add_argument("--radius", type=int, required=True)
-    q = gen_sub.add_parser("tower", help="chain of graphs linked by electrification")
-    q.add_argument("--levels", type=int, required=True)
-    q.add_argument("--valence", type=int, default=3)
-    q.add_argument("--ring-len", type=int, default=12, dest="ring_len")
-    q.add_argument("--depth", type=int, default=2)
-    for q in gen_sub.choices.values():
+    for kind, (helptext, _, flags) in _GENERATORS.items():
+        q = gen_sub.add_parser(kind, help=helptext)
+        for flag, default in flags.items():
+            q.add_argument("--" + flag.replace("_", "-"), type=int,
+                           required=default is None, default=default)
         _add_out(q)
         q.add_argument("--dot", action="store_true", help="also write a DOT file")
     p.set_defaults(func=cmd_gen)

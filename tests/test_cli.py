@@ -1,5 +1,6 @@
 """Command-line entry point: artifacts, exit codes, summaries, determinism."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -13,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gromovlab
-from gromovlab import graphs, projections
+from gromovlab import cli, generators, graphs, projections
 from gromovlab.cli import main
 from gromovlab.electrify import eg_to_obj, electrify, family_to_obj, load_eg
 from gromovlab.generators import tree_of_rings
-from gromovlab.graphs import dump_json, graph_to_obj, load_graph
+from gromovlab.graphs import dump_json, graph_to_dot, graph_to_obj, load_graph
 from gromovlab.quasitree import load_quasitree
 
 
@@ -547,3 +548,112 @@ def test_every_command_writes_its_pinned_artifacts(pinned_inputs, tmp_path, caps
             assert manifest["seeds"] == seeds
             raw = dump_json(obj["data"]).encode("utf-8")
         assert hashlib.sha256(raw).hexdigest()[:16] == digest, suffix
+
+
+# ------------------------------------------------------------ the gen surface
+
+# kind, its flags, the manifest params they give, and the library call they
+# stand for; the tower's other flags keep their defaults
+GEN_KINDS = [
+    ("tree", ["--depth", "2", "--valence", "3"], {"depth": 2, "valence": 3},
+     lambda: generators.tree(2, 3)),
+    ("cycle", ["--n", "6"], {"n": 6}, lambda: generators.cycle(6)),
+    ("path", ["--n", "5"], {"n": 5}, lambda: generators.path(5)),
+    ("grid", ["--width", "3", "--height", "2"], {"width": 3, "height": 2},
+     lambda: generators.grid(3, 2)),
+    ("tree-of-rings", ["--depth", "1", "--valence", "2", "--ring-len", "4"],
+     {"depth": 1, "valence": 2, "ring_len": 4}, lambda: generators.tree_of_rings(1, 2, 4)),
+    ("farey", ["--radius", "2"], {"radius": 2}, lambda: generators.farey_ball(2)),
+    ("tower", ["--levels", "2"], {"levels": 2, "valence": 3, "ring_len": 12, "depth": 2},
+     lambda: generators.hierarchy_tower(2, 3, 12, 2)),
+]
+
+
+@pytest.mark.parametrize("kind,argv,params,build", GEN_KINDS, ids=[case[0] for case in GEN_KINDS])
+def test_every_generator_writes_its_library_output_and_one_dot_per_graph(
+    tmp_path, capsys, kind, argv, params, build
+):
+    out = str(tmp_path / "g")
+    assert run(["gen", kind, *argv, "--dot", "--out", out]) == 0
+    capsys.readouterr()
+    made = build()
+    if kind == "tower":
+        levels = [(f".level{i}", g, fam) for i, (g, fam) in enumerate(made, start=1)]
+    else:
+        g, fam = made if isinstance(made, tuple) else (made, None)
+        levels = [("", g, fam)]
+    expect_files = set()
+    for stem, g, fam in levels:
+        payloads = [(".graph.json", graph_to_obj(g))]
+        if fam is not None:
+            payloads.append((".family.json", family_to_obj(fam)))
+        for suffix, data in payloads:
+            obj = read(tmp_path / f"g{stem}{suffix}")
+            assert obj["data"] == data
+            assert obj["manifest"]["params"] == {
+                "command": "gen", "kind": kind, **params, "out": out, "dot": True,
+            }
+            expect_files.add(f"g{stem}{suffix}")
+        assert (tmp_path / f"g{stem}.dot").read_text(encoding="utf-8") == graph_to_dot(g)
+        expect_files.add(f"g{stem}.dot")
+    assert set(os.listdir(tmp_path)) == expect_files
+
+
+GEN_USAGE = {
+    "tree": "usage: gromovlab gen tree [-h] --depth DEPTH --valence VALENCE --out OUT [--dot]\n",
+    "cycle": "usage: gromovlab gen cycle [-h] --n N --out OUT [--dot]\n",
+    "path": "usage: gromovlab gen path [-h] --n N --out OUT [--dot]\n",
+    "grid": "usage: gromovlab gen grid [-h] --width WIDTH --height HEIGHT --out OUT [--dot]\n",
+    "tree-of-rings": "usage: gromovlab gen tree-of-rings [-h] --depth DEPTH --valence VALENCE "
+                     "--ring-len RING_LEN --out OUT [--dot]\n",
+    "farey": "usage: gromovlab gen farey [-h] --radius RADIUS --out OUT [--dot]\n",
+    "tower": "usage: gromovlab gen tower [-h] --levels LEVELS [--valence VALENCE] "
+             "[--ring-len RING_LEN] [--depth DEPTH] --out OUT [--dot]\n",
+}
+GEN_HELP = {
+    "tree": "rooted tree with the given vertex degree",
+    "cycle": "cycle graph",
+    "path": "path graph",
+    "grid": "w x h grid graph",
+    "tree-of-rings": "tree with every edge subdivided through a ring",
+    "farey": "ball in the Farey graph around 0/1",
+    "tower": "chain of graphs linked by electrification",
+}
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_gen_usage_lines_and_help_are_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps usage at the terminal width
+    kinds = _subcommands(_subcommands(cli._build_parser()).choices["gen"])
+    assert list(kinds.choices) == list(GEN_USAGE)
+    assert {kind: q.format_usage() for kind, q in kinds.choices.items()} == GEN_USAGE
+    assert {action.dest: action.help for action in kinds._choices_actions} == GEN_HELP
+
+
+def test_gen_looks_its_generator_up_at_call_time(tmp_path, monkeypatch):
+    # a tracer that rebinds generators.cycle must see the command's call
+    calls = []
+    original = generators.cycle
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(generators, "cycle", counting)
+    assert run(["gen", "cycle", "--n", "5", "--out", str(tmp_path / "c")]) == 0
+    assert calls == [5]
+
+
+def test_report_summarizes_the_first_eight_sorted_fields(tmp_path, capsys):
+    assert run(["bounds", "--genus", "2", "--out", str(tmp_path / "b")]) == 0
+    data = read(tmp_path / "b.bounds.json")["data"]
+    assert len(data) == 9 and all(isinstance(v, int) for v in data.values())
+    assert run(["report", str(tmp_path / "b.bounds.json"), "--out", str(tmp_path / "r.md")]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "r.md").read_text(encoding="utf-8")
+    summary = ", ".join(f"{key}={data[key]}" for key in sorted(data)[:8])
+    assert f"| b.bounds.json | bounds | {summary} |" in text.splitlines()
+    assert "punctures" not in text

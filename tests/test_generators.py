@@ -142,6 +142,24 @@ def test_tower_audit_flags_missing_rings():
     assert tower_audit([tw[0], (g1, broken)])["ok"] is False
 
 
+def test_tower_audit_flags_a_ring_moved_or_attached_at_three_vertices():
+    from gromovlab.electrify import SubgraphFamily
+
+    (g1, fam1), (g2, fam2) = hierarchy_tower(2, 3, 12)
+    ring, rest = fam2[0], list(fam2.members[1:])
+    interior = [v for v in ring if v >= g1.n]
+    edges = set(g1.edges)
+    pair = next((a, b) for a in range(g1.n) for b in range(a + 1, g1.n) if (a, b) not in edges)
+    moved = SubgraphFamily([[*pair, *interior], *rest])
+    assert tower_audit([(g1, fam1), (g2, moved)]) == {
+        "ok": False, "levels_checked": 1, "per_level": [False],
+    }
+    # a ring attached at a third vertex of level 1 stops the level's scan
+    third = next(v for v in range(g1.n) if v not in ring)
+    widened = SubgraphFamily([[*ring, third], *rest])
+    assert tower_audit([(g1, fam1), (g2, widened)])["per_level"] == [False]
+
+
 @pytest.mark.parametrize("radius,n,e", [(4, 33, 63), (5, 65, 127), (6, 129, 255)])
 def test_farey_ball_sizes(radius, n, e):
     g = farey_ball(radius)

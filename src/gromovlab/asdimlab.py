@@ -113,11 +113,9 @@ def multiplicity_check(g: MetricGraph, blocks, R: int) -> tuple:
     return int(count[witness]), witness
 
 
-def _coords(g: MetricGraph, params) -> list:
-    params = params or {}
-    if "width" in params:
-        w = check_int("width", params["width"], 1)
-        return [(v % w, v // w) for v in range(g.n)]
+def _coords(g: MetricGraph, width) -> list:
+    if width is not None:
+        return [(v % width, v // width) for v in range(g.n)]
     labels = g.labels
     coords = []
     for v in range(g.n):
@@ -148,6 +146,9 @@ def cover_at_scale(g: MetricGraph, R: int, strategy: str, params=None) -> Cover:
       cannot decide.
     """
     R = check_int("scale R", R, 1)
+    params = params or {}
+    # checked for every strategy, though only brick reads it
+    width = check_int("width", params["width"], 1) if "width" in params else None
 
     if strategy == "interval":
         row = g.distances_from(0)
@@ -158,7 +159,7 @@ def cover_at_scale(g: MetricGraph, R: int, strategy: str, params=None) -> Cover:
         return Cover.from_blocks(g, blocks, R, "interval")
 
     if strategy == "brick":
-        coords = _coords(g, params)
+        coords = _coords(g, width)
         bricks = {}
         for v, (x, y) in enumerate(coords):
             strip = y // (2 * R)

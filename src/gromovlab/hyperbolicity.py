@@ -8,19 +8,21 @@ w, x, y, z form the three pairwise distance sums
 the defect of the quadruple is (largest sum - middle sum) and the constant is
 half the maximal defect.  On unit-edge graphs this is always a half-integer.
 
-Exact mode (within the caps below) rests on four facts:
+Exact mode (within the caps below) rests on five facts:
 the constant of a graph is the maximum over its biconnected blocks, each of
 which is isometric in it; some quadruple of maximal defect has both pairs
 of its largest sum far-apart, so that no neighbour of either end is farther
-from the other end (Cohen, Coudert and Lancin); a defect is at most twice
-the smallest of the six pairwise distances; and a defect is at most the
-diameter.  It works block by block and never holds the whole graph's
+from the other end (Cohen, Coudert and Lancin); a defect is at most the
+smaller distance of the two pairs of its largest sum; a defect is at most
+the diameter; and a chordal graph has defect at most 2 (Brinkmann, Koolen
+and Moulton).  It works block by block and never holds the whole graph's
 distance matrix unless the graph is one block.  Each block of at least four
 vertices is labelled by its fiber minima (below), and each distinct
 labelled block gets its own distance matrix and one scan, largest first:
 its far-apart pairs, taken by decreasing distance, are scored against each
 other in fixed-size tiles, and the scan stops at the first pair too close
-to beat the best defect so far, or once that reaches the block's diameter.
+to beat the best defect so far, or once that reaches the block's diameter,
+or 2 on a block that one maximum cardinality search finds chordal.
 A repeated block, such as every ring of a ring tree, costs no more.  A
 second scan then reports the lexicographically smallest quadruple
 attaining the maximum: it is made of the fiber minima (the least vertex of
@@ -59,10 +61,10 @@ from .graphs import (
 # blocks, held together, have at most _MAX_VERTICES^2 cells in all, so a
 # block has at most _MAX_VERTICES vertices, and a graph of many small
 # blocks, such as a ring tree of any size or its electrification, passes.  At
-# 4096^2 cells the int32 matrices take 64 MiB, and the scans' scratch adds
-# about half as much (97.5 MiB traced peak on grid(64, 64)).  The tile
-# scan's work grows with the square of a block's far-apart pairs.  The
-# witness scan charges each (i, j) it visits _WITNESS_VISIT cells for its
+# 4096^2 cells the int32 matrices take 64 MiB, and the scans' narrow copies
+# and scratch add about half as much (98.1 MiB traced peak on grid(64, 64)).
+# The tile scan's work grows with the square of a block's far-apart pairs.
+# The witness scan charges each (i, j) it visits _WITNESS_VISIT cells for its
 # fixed cost plus the square of its candidate count, a bound on the cells
 # it scores.  On a block of n vertices the total is at most
 # sum_j j (_WITNESS_VISIT + (n - 1 - j)^2), and blocks glued at cut vertices
@@ -149,35 +151,77 @@ def _far_apart_pairs(D: np.ndarray, csr) -> tuple:
     return xs[keep], ys[keep]
 
 
-def _max_defect(D: np.ndarray, csr, best: int, stop: int | None = None) -> int:
-    """Largest quadruple defect of the block with distance matrix ``D`` and
-    block adjacency ``csr`` if it exceeds ``best``, else ``best``; with
-    ``stop``, the scan ends once the defect found reaches it.
-    A block with more than ``_FAR_PAIRS`` far-apart pairs is refused with a
-    SizeLimitError before its scan starts.
+def _chordal(adj) -> bool:
+    """Whether the graph with adjacency lists ``adj`` is chordal, by one
+    maximum cardinality search (Tarjan and Yannakakis, SIAM J. Comput.
+    1984): each vertex visited next has the most visited neighbours, kept
+    in buckets by that count, and the graph is chordal iff, as each vertex
+    is visited, its visited neighbours other than the last visited one are
+    all adjacent to that one.  O(n + e), and it ends at the first failure.
+    """
+    n = len(adj)
+    nbrs = {}  # the adjacency sets of last visited vertices, made as needed
+    visit = [-1] * n  # the step at which each vertex is visited, -1 before
+    count = [0] * n  # its visited neighbours while it is not
+    buckets = [set(range(n))]  # buckets[c]: the unvisited vertices with count c
+    top = 0
+    for step in range(n):
+        while not buckets[top]:
+            top -= 1
+        v = buckets[top].pop()
+        visit[v] = step
+        seen = [u for u in adj[v] if visit[u] >= 0]
+        if len(seen) > 1:
+            last = max(seen, key=visit.__getitem__)
+            if last not in nbrs:
+                nbrs[last] = set(adj[last])
+            if any(u != last and u not in nbrs[last] for u in seen):
+                return False
+        for u in adj[v]:
+            if visit[u] < 0:
+                buckets[count[u]].remove(u)
+                count[u] += 1
+                if count[u] == len(buckets):
+                    buckets.append(set())
+                buckets[count[u]].add(u)
+        top = min(top + 1, len(buckets) - 1)
+    return True
+
+
+def _max_defect(D: np.ndarray, csr, best: int, stop: int | None = None) -> tuple:
+    """(defect, D): the largest quadruple defect of the block with distance
+    matrix ``D`` and block adjacency ``csr`` if it exceeds ``best``, else
+    ``best``, and ``D`` as the scan read it, in the narrowest integer type
+    that holds every score (int8 up to diameter 63), or as given if no scan
+    was needed; with ``stop``, the scan ends once the defect found reaches
+    it.  A block with more than ``_FAR_PAIRS`` far-apart pairs is refused
+    with a SizeLimitError before its scan starts.
 
     Some quadruple of maximal defect has both pairs of its largest sum
     far-apart (Cohen, Coudert and Lancin, "On computing the Gromov
     hyperbolicity", 2015), so only pairs of far-apart pairs are scored, each
     as d_k + d_j minus the larger of its two other sums: the defect when
     d_k + d_j is the largest sum, at most 0 otherwise.  Pairs are taken by
-    decreasing distance; a defect is at most twice each pairwise distance,
-    so the scan stops at the first pair k with 2 d_k <= ``best``, and it
-    stops once ``best`` reaches the diameter (or ``stop``).  Earlier pairs are gathered in
-    tiles of columns, against which later pairs are scored a chunk of rows
-    at a time in preallocated buffers of the narrowest integer type that
-    holds every score (int8 up to diameter 63).
+    decreasing distance.  The two other sums add up to at least twice each
+    of d_k and d_j (triangle inequality), so a defect is at most the smaller
+    distance of its largest sum's pairs: the scan stops at the first pair k
+    with d_k <= ``best``, and it stops once ``best`` reaches the diameter
+    (or ``stop``).  Earlier pairs are gathered in tiles of columns, against
+    which later pairs are scored a chunk of rows at a time in preallocated
+    buffers of the matrix's narrow type.
     """
     diam = int(D.max())
     if diam <= best:
-        return best
+        return best, D
     stop = diam if stop is None else min(stop, diam)
     xs, ys = _far_apart_pairs(D, csr)
-    D = D.astype(np.min_scalar_type(-2 * diam - 1))  # holds sums and scores, ±2 diam
+    # holds sums and scores, ±2 diam; narrowed after the far-apart mask, so
+    # that the two matrices and the mask are never held at once
+    D = D.astype(np.min_scalar_type(-2 * diam - 1), copy=False)
     d = D[xs, ys]
     order = np.argsort(-d, kind="stable")
     xs, ys, d = xs[order], ys[order], d[order]
-    live = int(np.count_nonzero(2 * d > best))  # pairs that can still beat best
+    live = int(np.count_nonzero(d > best))  # pairs that can still beat best
     bufs = np.empty((3, min(live, _TILE_ROWS) * min(live, _TILE_COLS)), dtype=D.dtype)
     a = 0
     while a < live:
@@ -198,11 +242,11 @@ def _max_defect(D: np.ndarray, csr, best: int, stop: int | None = None) -> int:
             if m > best:
                 best = m
                 if best >= stop:
-                    return best
-                live = int(np.count_nonzero(2 * d > best))
+                    return best, D
+                live = int(np.count_nonzero(d > best))
             k = rows.stop
         a = cols.stop
-    return best
+    return best, D
 
 
 def _blocks(g: MetricGraph) -> list:
@@ -264,19 +308,21 @@ def _block_witness(D: np.ndarray, t: int, work: int) -> tuple:
     distance matrix ``D`` whose defect is ``t`` > 0, or None, and ``work``
     plus the work of the scan.
 
-    Only vertices at distance >= t/2 from both i and j can complete it.  For
-    each (i, j) the (k, l) cells of those vertices are scored in chunks of
-    whole rows, at most ``_WITNESS_CELLS`` cells each where a row allows,
-    taken in order, so that the scan reads ``D`` in place in bounded scratch
-    memory.  Each (i, j) is charged ``_WITNESS_VISIT`` cells for its fixed
-    cost plus the square of its candidate count, a bound on the cells it
-    scores, before it is scanned, and a scan whose total would exceed
-    ``_WITNESS_WORK`` is refused with a SizeLimitError.
+    Only vertices at distance >= t/2 from both i and j can complete it,
+    read off the rows of i and j as each is reached.  For each (i, j) the
+    (k, l) cells of those vertices are scored in chunks of whole rows, at
+    most ``_WITNESS_CELLS`` cells each where a row allows, taken in order,
+    so that the scan reads ``D`` in place in bounded scratch memory.  Each
+    (i, j) is charged ``_WITNESS_VISIT`` cells for its fixed cost plus the
+    square of its candidate count, a bound on the cells it scores, before it
+    is scanned, and a scan whose total would exceed ``_WITNESS_WORK`` is
+    refused with a SizeLimitError.
     """
-    far = D >= (t + 1) // 2  # 2 d >= t
+    h = (t + 1) // 2  # 2 d >= t
     for i in range(len(D) - 3):
-        for j in np.flatnonzero(far[i, i + 1:]) + i + 1:
-            c = np.flatnonzero(far[i, j + 1:] & far[j, j + 1:]) + j + 1
+        fi = D[i] >= h
+        for j in np.flatnonzero(fi[i + 1:]) + i + 1:
+            c = np.flatnonzero(fi[j + 1:] & (D[j, j + 1:] >= h)) + j + 1
             work += _WITNESS_VISIT + len(c) * len(c)
             if work > _WITNESS_WORK:
                 raise SizeLimitError(
@@ -307,7 +353,7 @@ def _may_attain(D: np.ndarray, csr, t: int) -> bool:
     rescan of its far-apart pairs that ends at ``t`` decides, and a block
     with too many of them to rescan is left to the witness scan."""
     try:
-        return _max_defect(D, csr, t - 1, t) == t
+        return _max_defect(D, csr, t - 1, t)[0] == t
     except SizeLimitError:
         return True
 
@@ -316,8 +362,9 @@ def _first_witness(parts: list, scanned: dict, t: int) -> tuple:
     """First quadruple i<j<k<l of the graph, in lexicographic order, whose
     defect is ``t``, the maximum, from the blocks ``parts`` of ``_blocks``.
     ``scanned`` maps each distinct labelled block to its (matrix, adjacency,
-    defect, exact): the value ``_max_defect`` returned for it, which is its
-    own maximum defect if ``exact``, else only a bound on it.
+    defect, exact): the matrix and the value ``_max_defect`` returned for
+    it, the value its own maximum defect if ``exact``, else only a bound on
+    it.
 
     A quadruple whose four gates in a block are distinct has the defect of
     its gates, and one with a positive defect has such a block, whose own
@@ -383,7 +430,8 @@ def four_point_delta(
     ``MetricGraph`` in its labels (a graph of one block is used as it is)
     and scanned once by ``_max_defect`` over the far-apart pairs of its
     adjacency and its ``distance_matrix``, in tiles, with its pair and
-    diameter exits.  The witness is the lexicographically
+    diameter exits, and for a chordal block (``_chordal``) an exit at
+    defect 2.  The witness is the lexicographically
     smallest quadruple of the whole graph attaining that maximum, found by
     ``_first_witness`` block by block; it may span several blocks, and on a
     graph with delta 0 it is (0, 1, 2, 3).  Reports are therefore
@@ -412,8 +460,11 @@ def four_point_delta(
         best = 0
         for k, edges in sorted(distinct, key=lambda key: -key[0]):
             block = g if k == g.n else MetricGraph(k, edges)  # one block keeps its own ids
-            csr, D = _csr(block), block.distance_matrix()
-            defect = _max_defect(D, csr, best)
+            # a chordal block has defect at most 2 (Brinkmann, Koolen and
+            # Moulton), so its scan ends at the first quadruple of defect 2
+            stop = 2 if _chordal(block._adj) else None
+            csr = _csr(block)
+            defect, D = _max_defect(block.distance_matrix(), csr, best, stop)
             scanned[k, edges] = D, csr, defect, defect > best
             best = defect
         witness = _first_witness(parts, scanned, best)

@@ -122,6 +122,20 @@ def test_brick_width_must_be_a_positive_integer(width):
         cover_at_scale(bare, 2, "brick", params={"width": width})
 
 
+@pytest.mark.parametrize("strategy", ["interval", "net_voronoi"])
+@pytest.mark.parametrize("width", [0, -12, 2.5, True, "12"])
+def test_every_strategy_checks_a_given_width(strategy, width):
+    # only brick reads the width, but a bad one is refused whatever the strategy
+    g = grid(6, 6)
+    with pytest.raises(ValueError, match="width"):
+        cover_at_scale(g, 2, strategy, params={"width": width})
+    with pytest.raises(ValueError, match="width"):
+        dim_profile(g, [1, 2], strategy, params={"width": width})
+    assert cover_at_scale(g, 2, strategy, params={"width": 6}).blocks == (
+        cover_at_scale(g, 2, strategy).blocks
+    )
+
+
 def test_net_voronoi_cover_structure():
     g = small("grid-8-8")
     for R in (1, 2, 4):

@@ -291,6 +291,19 @@ def test_a_zero_brick_width_exits_2(tmp_path, capsys, command, extra):
     assert "width must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("strategy", ["interval", "net_voronoi"])
+@pytest.mark.parametrize("command,extra", [("cover", ["--scale", "2"]), ("profile", ["--scales", "2"])])
+def test_a_zero_width_exits_2_for_every_strategy(tmp_path, capsys, command, extra, strategy):
+    out = tmp_path / "g"
+    assert run(["gen", "grid", "--width", "3", "--height", "2", "--out", str(out)]) == 0
+    graph = str(out) + ".graph.json"
+    argv = [command, graph, *extra, "--strategy", strategy, "--out", str(tmp_path / "c")]
+    assert run([*argv, "--width", "3"]) == 0
+    capsys.readouterr()
+    assert run([*argv, "--width", "0"]) == 2
+    assert "width must be >= 1" in capsys.readouterr().err
+
+
 def test_size_guard_exits_3(tmp_path):
     # farey_ball(9) is over the far-apart pair cap, cycle(4097), one block, over the vertex cap
     farey, ring = tmp_path / "f", tmp_path / "c"

@@ -2,6 +2,7 @@
 
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -473,6 +474,79 @@ def test_large_diameter_takes_the_int16_buffers():
 def test_farey7_delta_and_witness():
     rep = four_point_delta(farey_ball(7))
     assert (rep.delta, rep.witness) == (1.0, (0, 17, 30, 41))
+
+
+def test_farey8_delta_and_witness():
+    # one chordal block of 513 vertices: its scan ends at the first defect 2
+    rep = four_point_delta(farey_ball(8))
+    assert (rep.delta, rep.witness) == (1.0, (0, 19, 34, 47))
+
+
+@st.composite
+def subtree_intersection_graphs(draw):
+    """Chordal graphs on 4-14 vertices: the intersection graphs of subtrees
+    of a random tree.  Each subtree grows from a node of an earlier one, so
+    the graph is connected, and the ids are shuffled."""
+    m = draw(st.integers(1, 12))
+    tree_adj = [[] for _ in range(m)]
+    for v in range(1, m):
+        u = draw(st.integers(0, v - 1))
+        tree_adj[u].append(v)
+        tree_adj[v].append(u)
+    n = draw(st.integers(4, 14))
+    subtrees = []
+    for i in range(n):
+        nodes = [0]
+        if i:
+            earlier = subtrees[draw(st.integers(0, i - 1))]
+            nodes = [draw(st.sampled_from(sorted(earlier)))]
+        for _ in range(draw(st.integers(0, 4))):
+            node = draw(st.sampled_from(nodes))
+            if tree_adj[node]:
+                nodes.append(draw(st.sampled_from(tree_adj[node])))
+        subtrees.append(set(nodes))
+    ids = draw(st.permutations(range(n)))
+    edges = [
+        tuple(sorted((ids[i], ids[j])))
+        for i, j in itertools.combinations(range(n), 2) if subtrees[i] & subtrees[j]
+    ]
+    return MetricGraph(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(shuffled_connected_graphs(), connected_graphs(), subtree_intersection_graphs()))
+@example(farey_ball(3))
+@example(cycle(4))
+# the wheel on the 4-cycle 1..4, hub 0 visited first: each rim vertex's
+# visited neighbours are all adjacent to the hub, and only the last visited
+# one tells that the rim is a hole
+@example(MetricGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (3, 4)]))
+def test_chordality_matches_networkx(g):
+    assert hyperbolicity._chordal(g._adj) == nx.is_chordal(orc.to_networkx(g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(subtree_intersection_graphs())
+# random ones this small rarely reach delta 1; farey_ball(3) does
+@example(farey_ball(3))
+def test_chordal_graphs_have_delta_at_most_one(g):
+    assert hyperbolicity._chordal(g._adj)
+    rep = four_point_delta(g)
+    D = orc.distance_matrix(g)
+    assert rep.delta == orc.delta_bruteforce(D) <= 1
+    assert rep.witness == next(
+        q for q in itertools.combinations(range(g.n), 4)
+        if orc.quadruple_defect(D, q) == 2 * rep.delta
+    )
+
+
+def test_only_a_chordal_block_is_scanned_with_the_stop_at_defect_2(monkeypatch):
+    # farey_ball(6) is one triangulated polygon, grid(4, 4) has induced 4-cycles
+    log = []
+    _spy(monkeypatch, "_max_defect", log)
+    assert four_point_delta(farey_ball(6)).delta == 1.0
+    assert four_point_delta(grid(4, 4)).delta == 3.0
+    assert log == [("_max_defect", 129, (0, 2)), ("_max_defect", 16, (0,))]
 
 
 @settings(max_examples=150, deadline=None)

@@ -54,17 +54,15 @@ def _sha256(path) -> str:
     """Digest of the input that feeds the computation.
 
     For wrapped artifacts this is the canonical data payload, so the hash is
-    stable across reruns whose manifests differ only in wall time.  Anything
-    else is hashed as raw bytes.
+    stable across reruns whose manifests differ only in wall time.  Any
+    other document is hashed as raw bytes.  Every input digested here has
+    already been parsed by its command, so the parse cannot fail.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    try:
-        obj = json.loads(raw)
-        if isinstance(obj, dict) and "manifest" in obj and "data" in obj:
-            raw = dump_json(obj["data"]).encode("utf-8")
-    except (ValueError, UnicodeDecodeError):
-        pass
+    obj = json.loads(raw)
+    if isinstance(obj, dict) and "manifest" in obj and "data" in obj:
+        raw = dump_json(obj["data"]).encode("utf-8")
     return hashlib.sha256(raw).hexdigest()
 
 

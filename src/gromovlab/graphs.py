@@ -162,6 +162,10 @@ class MetricGraph:
         else:
             self._labels = {}
         self._dist_rows: dict[int, np.ndarray] = {}
+        # for pair_distances: the arrays that cached rows are views of, and
+        # the (array, lane) of each indexed source's row there, -1 before
+        self._row_store: list[np.ndarray] = []
+        self._row_at = np.full((2, n), -1, dtype=np.int32)
         self._dist_matrix = None
         self._csr = None
         self._check_connected()
@@ -206,6 +210,13 @@ class MetricGraph:
 
     # -- metric ------------------------------------------------------------
 
+    def _index_rows(self, sources, block: np.ndarray) -> None:
+        """Index the rows of the 2-D ``block``, one per source in ``sources``,
+        by their block and lane there, for ``pair_distances``."""
+        self._row_at[0, sources] = len(self._row_store)
+        self._row_at[1, sources] = np.arange(len(sources))
+        self._row_store.append(block)
+
     def distances_from(self, u: int) -> np.ndarray:
         """BFS distance row from ``u``; read-only, cached per source.  A row
         not yet cached comes from one single-source BFS; callers that know
@@ -227,29 +238,41 @@ class MetricGraph:
         for batch, block in _row_blocks(_csr(self), todo):
             block.setflags(write=False)
             self._dist_rows.update(zip(batch, block))
+            self._index_rows(batch, block)
 
     def pair_distances(self, us, vs) -> np.ndarray:
         """d(us[i], vs[i]) for every i, as an int32 array: the rows of the
-        distinct ``us`` are filled by one ``prefetch_rows``, then each
-        distance is read from its cached row, so no (k, n) block of rows is
-        ever stacked.  The ids are all checked first, as ``_check_vertex``
-        checks one: integer dtype (booleans refused) and in range."""
+        distinct ``us`` are filled by one ``prefetch_rows``, then the
+        distances are gathered block by block from the arrays the cached
+        rows are views of, one fancy index per array read, so no (k, n)
+        block of rows is ever stacked.  The ids are all checked first, as
+        ``_check_vertex`` checks one: integer dtype (booleans refused) and
+        in range."""
         us = _check_ids(self._n, us)
         vs = _check_ids(self._n, vs)
         if us.shape != vs.shape:
             raise ValueError(f"pair_distances needs equal id counts, got {len(us)} and {len(vs)}")
-        self.prefetch_rows(np.flatnonzero(np.bincount(us, minlength=self._n)))
-        rows = self._dist_rows
-        return np.fromiter(
-            (rows[u][v] for u, v in zip(us.tolist(), vs.tolist())), dtype=np.int32, count=len(us)
-        )
+        out = np.empty(len(us), dtype=np.int32)
+        if not len(us):
+            return out
+        sources = np.flatnonzero(np.bincount(us, minlength=self._n))
+        self.prefetch_rows(sources)
+        # a row cached by distances_from is indexed as a block of one row
+        for s in sources[self._row_at[0, sources] < 0].tolist():
+            self._index_rows([s], self._dist_rows[s][None])
+        block, lane = self._row_at[:, us]
+        order = np.argsort(block)
+        for idx in np.split(order, np.flatnonzero(np.diff(block[order])) + 1):
+            out[idx] = self._row_store[block[idx[0]]][lane[idx], vs[idx]]
+        return out
 
     def distance_matrix(self) -> np.ndarray:
         """Full all-pairs distance matrix (cached); n^2 int32, held once.
         The rows not yet cached come from passes of 64 sources written
         straight into the matrix.  Then every row is read through
         ``distances_from``, which copies in the rows cached before, and the
-        cache keeps each row as a read-only view of the matrix."""
+        cache keeps each row as a read-only view of the matrix, which is
+        then the one block ``pair_distances`` reads."""
         if self._dist_matrix is None:
             mat = np.empty((self._n, self._n), dtype=np.int32)
             todo = sorted(set(range(self._n)) - self._dist_rows.keys())
@@ -260,6 +283,8 @@ class MetricGraph:
                 mat[u] = self.distances_from(u)
             mat.setflags(write=False)
             self._dist_rows = dict(enumerate(mat))
+            self._row_store = []
+            self._index_rows(np.arange(self._n), mat)
             self._dist_matrix = mat
         return self._dist_matrix
 

@@ -8,17 +8,22 @@ w, x, y, z form the three pairwise distance sums
 the defect of the quadruple is (largest sum - middle sum) and the constant is
 half the maximal defect.  On unit-edge graphs this is always a half-integer.
 
-Exact mode (within the caps below) rests on five facts:
+Exact mode (within the caps below) rests on six facts:
 the constant of a graph is the maximum over its biconnected blocks, each of
 which is isometric in it; some quadruple of maximal defect has both pairs
 of its largest sum far-apart, so that no neighbour of either end is farther
 from the other end (Cohen, Coudert and Lancin); a defect is at most the
 smaller distance of the two pairs of its largest sum; a defect is at most
-the diameter; and a chordal graph has defect at most 2 (Brinkmann, Koolen
-and Moulton).  It works block by block and never holds the whole graph's
-distance matrix unless the graph is one block.  Each block of at least four
-vertices is labelled by its fiber minima (below), and each distinct
-labelled block gets its own distance matrix and one scan, largest first:
+the diameter; a chordal graph has defect at most 2 (Brinkmann, Koolen
+and Moulton); and, with u_x = d(i,x) - d(j,x), so that |u_x| <= d(i,j),
+the quadruple i, j, k, l has defect t > 0 only if |u_k - u_l| >= t or both
+|u_k| and |u_l| are at most d(i,j) - t (the triangle inequality: s2 - s3
+is u_k - u_l, and s1 leads either other sum by at most d(i,j) - |u_k| and
+by at most d(i,j) - |u_l|).  It works block by block and never holds the
+whole graph's distance matrix unless the graph is one block.  Each block
+of at least four vertices is labelled by its fiber minima (below), and
+each distinct labelled block gets its own distance matrix and one scan,
+largest first:
 its far-apart pairs, taken by decreasing distance, are scored against each
 other in fixed-size tiles, and the scan stops at the first pair too close
 to beat the best defect so far, or once that reaches the block's diameter,
@@ -29,7 +34,8 @@ attaining the maximum: it is made of the fiber minima (the least vertex of
 the graph whose nearest vertex in the block is a given vertex) of four
 vertices of one block whose own maximum defect is the graph's, so each
 distinct such block is scanned once in its own labels, and the least
-quadruple over the blocks is kept.
+quadruple over the blocks is kept.  For each (i, j) that scan scores only
+the pairs (k, l) the sixth fact lets reach the maximum.
 Sampled mode draws each chunk of quadruples from a seeded generator in one
 call, four bounded ranks u_j in [0, n - j) per quadruple, and makes v_j the
 u_j-th smallest vertex not among v_0..v_{j-1} (``_ranks_to_vertices``): each
@@ -109,7 +115,7 @@ def _defect_top_mid(s1, s2, s3):
 # so the scan's scratch memory is fixed whatever the number of pairs
 _TILE_COLS = 1024
 _TILE_ROWS = 256
-# the witness scan scores at most this many (k, l) cells at a time
+# the witness scan gathers rows of the matrix about this many cells at a time
 _WITNESS_CELLS = 1 << 15
 # the far-apart mask gathers about this many cells of neighbour rows at a time
 _MASK_CELLS = 1 << 16
@@ -309,17 +315,26 @@ def _block_witness(D: np.ndarray, t: int, work: int) -> tuple:
     plus the work of the scan.
 
     Only vertices at distance >= t/2 from both i and j can complete it,
-    read off the rows of i and j as each is reached.  For each (i, j) the
-    (k, l) cells of those vertices are scored in chunks of whole rows, at
-    most ``_WITNESS_CELLS`` cells each where a row allows, taken in order,
-    so that the scan reads ``D`` in place in bounded scratch memory.  Each
-    (i, j) is charged ``_WITNESS_VISIT`` cells for its fixed cost plus the
-    square of its candidate count, a bound on the cells it scores, before it
-    is scanned, and a scan whose total would exceed ``_WITNESS_WORK`` is
-    refused with a SizeLimitError.
+    read off the rows of i and j as each is reached.  For each (i, j) these
+    candidates x are sorted by u_x = d(i,x) - d(j,x), and only the (k, l)
+    cells that can reach ``t`` are scored: by the triangle inequality a
+    defect is at most |u_k - u_l| unless d(i,j) + d(k,l) is the largest sum,
+    and then at most d(i,j) - |u_k| and d(i,j) - |u_l|.  So the centre, the
+    candidates with |u| <= d(i,j) - t (none when d(i,j) < t), is scored
+    against itself, and each u-class p against the classes >= p + t, past
+    the centre if p is in it.  A hit (k, l) is taken as the pair
+    (min, max), and the least hit of the first (i, j) that has one is the
+    answer.  Each block of cells gathers ``_WITNESS_CELLS // len(D)`` rows
+    of ``D`` in its own integer type, so the scan's scratch memory is
+    bounded.  Each (i, j) is charged ``_WITNESS_VISIT`` cells for its fixed
+    cost plus the square of its candidate count, a bound on the cells it
+    scores, before it is scanned, and a scan whose total would exceed
+    ``_WITNESS_WORK`` is refused with a SizeLimitError.
     """
+    n = len(D)
     h = (t + 1) // 2  # 2 d >= t
-    for i in range(len(D) - 3):
+    step = max(1, _WITNESS_CELLS // n)
+    for i in range(n - 3):
         fi = D[i] >= h
         for j in np.flatnonzero(fi[i + 1:]) + i + 1:
             c = np.flatnonzero(fi[j + 1:] & (D[j, j + 1:] >= h)) + j + 1
@@ -327,23 +342,44 @@ def _block_witness(D: np.ndarray, t: int, work: int) -> tuple:
             if work > _WITNESS_WORK:
                 raise SizeLimitError(
                     f"exact mode's witness scan is capped at {_WITNESS_WORK} cells, and a "
-                    f"block of {len(D)} vertices needs more; use sampled mode"
+                    f"block of {n} vertices needs more; use sampled mode"
                 )
             if len(c) < 2:
                 continue
             dic, djc = D[i, c], D[j, c]
-            step = max(1, _WITNESS_CELLS // len(c))
-            for r in range(0, len(c) - 1, step):
-                # rows k in c[r:r + step] against the columns l in c[r + 1:]
-                rows, cols = slice(r, r + step), slice(r + 1, None)
-                s1 = D[np.ix_(c[rows], c[cols])]
+            u = dic - djc
+            order = np.argsort(u, kind="stable")
+            c, u, dic, djc = c[order], u[order], dic[order], djc[order]
+            m, lo, hi, room = len(c), int(u[0]), int(u[-1]), int(D[i, j]) - t
+            # the position in c of the first u >= x, for each x in [lo, hi + t + 1]
+            first = np.searchsorted(u, np.arange(lo, hi + t + 2)).tolist()
+
+            def at(x):
+                return first[min(max(x - lo, 0), hi + t + 1 - lo)]
+
+            # (rows, columns) of c: the centre's upper triangle, then each class v
+            # against the classes >= v + t, past the centre for v in it
+            ca, cb = at(-room), at(room + 1)
+            blocks = [(r, min(r + step, cb), r + 1, cb) for r in range(ca, cb - 1, step)]
+            for v in range(lo, hi + 1):
+                top = at(max(v + t, room + 1) if abs(v) <= room else v + t)
+                span = range(at(v), at(v + 1), step)
+                if top < m:
+                    blocks += [(r, min(r + step, span.stop), top, m) for r in span]
+            best = None
+            for r0, r1, a, b in blocks:
+                rows, cols = c[r0:r1], c[a:b]
+                s1 = D.take(rows, 0).take(cols, 1)
                 s1 += D[i, j]
-                s2 = dic[rows, None] + djc[None, cols]
-                s3 = djc[rows, None] + dic[None, cols]
-                hit = np.triu(_defect_top_mid(s1, s2, s3) == t)  # l > k
-                if hit.any():
-                    k, l = divmod(int(np.argmax(hit)), hit.shape[1])
-                    return (int(i), int(j), int(c[r + k]), int(c[r + 1 + l])), work
+                s2 = dic[r0:r1, None] + djc[None, a:b]
+                s3 = djc[r0:r1, None] + dic[None, a:b]
+                ks, ls = np.nonzero(_defect_top_mid(s1, s2, s3) == t)
+                if len(ks):
+                    k, l = rows[ks], cols[ls]
+                    key = int((np.minimum(k, l) * n + np.maximum(k, l)).min())
+                    best = key if best is None else min(best, key)
+            if best is not None:
+                return (int(i), int(j), *divmod(best, n)), work
     return None, work
 
 

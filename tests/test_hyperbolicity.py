@@ -482,6 +482,64 @@ def test_farey8_delta_and_witness():
     assert (rep.delta, rep.witness) == (1.0, (0, 19, 34, 47))
 
 
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs())
+def test_the_witness_is_the_first_quadruple_attaining_delta(g):
+    assume(g.n >= 4)
+    rep = four_point_delta(g)
+    assert rep.witness == _first_attaining(g, int(2 * rep.delta))
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(), st.data())
+def test_a_defect_is_reached_across_u_classes_or_in_the_centre(g, data):
+    # u_x = d(i,x) - d(j,x): a quadruple's defect t > 0 needs |u_k - u_l| >= t,
+    # or both |u_k| and |u_l| at most d(i,j) - t
+    assume(g.n >= 4)
+    D = orc.distance_matrix(g)
+    for _ in range(20):
+        i, j, k, l = data.draw(st.permutations(range(g.n)))[:4]
+        t = orc.quadruple_defect(D, (i, j, k, l))
+        u = D[i] - D[j]
+        assert (np.abs(u) <= D[i, j]).all()
+        assert D[i, k] + D[j, l] - D[i, l] - D[j, k] == u[k] - u[l]
+        if t > 0:
+            assert abs(u[k] - u[l]) >= t or max(abs(u[k]), abs(u[l])) <= D[i, j] - t
+
+
+@pytest.mark.parametrize("radius", [3, 4, 5, 6])
+def test_the_witness_scan_of_a_farey_ball_matches_bruteforce(radius):
+    # a farey ball is one chordal block of delta 1, so its maximum defect is 2
+    g = farey_ball(radius)
+    assert hyperbolicity._block_witness(orc.distance_matrix(g), 2, 0)[0] == _first_attaining(g, 2)
+
+
+def _cycle8(order):
+    """C_8 with the ids ``order`` around it."""
+    return MetricGraph(8, [tuple(sorted((order[p], order[p - 1]))) for p in range(8)])
+
+
+@pytest.mark.parametrize("order,centre", [
+    # the first quadruple (0, 1, 2, 3) has its largest sum d(0,1) + d(2,3):
+    # u_2 = u_3 = 0, so only the centre, |u| <= d(0,1) - 4 = 0, holds (2, 3)
+    ([0, 4, 2, 5, 1, 6, 3, 7], True),
+    # the first quadruple (0, 2, 4, 6) has d(0,2) = 2 < 4, so no centre:
+    # (4, 6) is a cross-class pair, u_4 - u_6 = 4
+    (list(range(8)), False),
+], ids=["centre", "cross"])
+def test_the_witness_scan_finds_a_centre_or_a_cross_class_pair(order, centre):
+    g = _cycle8(order)
+    D = orc.distance_matrix(g)
+    quad = i, j, k, l = _first_attaining(g, 4)
+    u = D[i] - D[j]
+    if centre:
+        assert abs(u[k] - u[l]) < 4 and max(abs(u[k]), abs(u[l])) <= D[i, j] - 4
+    else:
+        assert D[i, j] < 4 and abs(u[k] - u[l]) >= 4
+    assert hyperbolicity._block_witness(D, 4, 0)[0] == quad
+    assert four_point_delta(g).witness == quad
+
+
 @st.composite
 def subtree_intersection_graphs(draw):
     """Chordal graphs on 4-14 vertices: the intersection graphs of subtrees

@@ -157,20 +157,22 @@ class ElectrifiedGraph:
 def electrify(g: MetricGraph, fam: SubgraphFamily) -> ElectrifiedGraph:
     """Add one cone vertex per family member, adjacent to exactly that member.
 
-    Rejects families that do not validate against ``g`` and re-coning: if some
-    existing vertex is already adjacent to exactly H_c (the structural
-    fingerprint of a cone), the member counts as already electrified.
+    Rejects families that do not validate against ``g`` and re-coning: if a
+    vertex labelled ``cone...``, as ``electrify`` labels its cone vertices, is
+    adjacent to exactly H_c, the member counts as already electrified.  Any
+    other vertex adjacent to exactly H_c (the third corner of a triangle on
+    an edge member, a leaf next to a one-vertex member) is no cone.
     """
     fam.validate_against(g)
+    labels = g.labels
     for c, member in enumerate(fam.members):
         # a vertex that cones H neighbours H[0] and its sorted neighbours are H
         for u in g.neighbors(member[0]):
-            if g.neighbors(u) == member:
+            if labels.get(u, "").startswith("cone") and g.neighbors(u) == member:
                 raise ValueError(
                     f"family member {c} is already electrified (vertex {u} cones it)"
                 )
     edges = list(g.edges)
-    labels = g.labels
     for c, member in enumerate(fam.members):
         labels[g.n + c] = f"cone{c}"
         edges.extend((h, g.n + c) for h in member)

@@ -163,7 +163,7 @@ class MetricGraph:
             self._labels = {}
         self._dist_rows: dict[int, np.ndarray] = {}
         # for pair_distances: the arrays that cached rows are views of, and
-        # the (array, lane) of each indexed source's row there, -1 before
+        # the (array, lane) of each cached source's row there, -1 before
         self._row_store: list[np.ndarray] = []
         self._row_at = np.full((2, n), -1, dtype=np.int32)
         self._dist_matrix = None
@@ -210,23 +210,27 @@ class MetricGraph:
 
     # -- metric ------------------------------------------------------------
 
-    def _index_rows(self, sources, block: np.ndarray) -> None:
-        """Index the rows of the 2-D ``block``, one per source in ``sources``,
-        by their block and lane there, for ``pair_distances``."""
+    def _keep_rows(self, sources, block: np.ndarray) -> None:
+        """Cache the rows of the 2-D ``block``, one per source in ``sources``:
+        the block is made read-only, each source's row is its lane view
+        there, and (block, lane) is recorded for ``pair_distances``.  Every
+        row enters the cache here."""
+        block.setflags(write=False)
+        self._dist_rows.update(zip(sources, block))
         self._row_at[0, sources] = len(self._row_store)
         self._row_at[1, sources] = np.arange(len(sources))
         self._row_store.append(block)
 
     def distances_from(self, u: int) -> np.ndarray:
         """BFS distance row from ``u``; read-only, cached per source.  A row
-        not yet cached comes from one single-source BFS; callers that know
-        many sources up front fill the cache with ``prefetch_rows`` first."""
+        not yet cached comes from one single-source BFS and is kept as a
+        block of one row; callers that know many sources up front fill the
+        cache with ``prefetch_rows`` first."""
         u = _check_vertex(self._n, u)
         row = self._dist_rows.get(u)
         if row is None:
-            row = multi_source_distances(self, [u])
-            row.setflags(write=False)
-            self._dist_rows[u] = row
+            self._keep_rows([u], multi_source_distances(self, [u])[None])
+            row = self._dist_rows[u]
         return row
 
     def prefetch_rows(self, sources) -> None:
@@ -236,9 +240,7 @@ class MetricGraph:
         nothing is copied.  Ids are all checked before any row is computed."""
         todo = sorted(set(_check_ids(self._n, sources).tolist()) - self._dist_rows.keys())
         for batch, block in _row_blocks(_csr(self), todo):
-            block.setflags(write=False)
-            self._dist_rows.update(zip(batch, block))
-            self._index_rows(batch, block)
+            self._keep_rows(batch, block)
 
     def pair_distances(self, us, vs) -> np.ndarray:
         """d(us[i], vs[i]) for every i, as an int32 array: the rows of the
@@ -255,11 +257,7 @@ class MetricGraph:
         out = np.empty(len(us), dtype=np.int32)
         if not len(us):
             return out
-        sources = np.flatnonzero(np.bincount(us, minlength=self._n))
-        self.prefetch_rows(sources)
-        # a row cached by distances_from is indexed as a block of one row
-        for s in sources[self._row_at[0, sources] < 0].tolist():
-            self._index_rows([s], self._dist_rows[s][None])
+        self.prefetch_rows(np.flatnonzero(np.bincount(us, minlength=self._n)))
         block, lane = self._row_at[:, us]
         order = np.argsort(block)
         for idx in np.split(order, np.flatnonzero(np.diff(block[order])) + 1):
@@ -269,22 +267,20 @@ class MetricGraph:
     def distance_matrix(self) -> np.ndarray:
         """Full all-pairs distance matrix (cached); n^2 int32, held once.
         The rows not yet cached come from passes of 64 sources written
-        straight into the matrix.  Then every row is read through
-        ``distances_from``, which copies in the rows cached before, and the
-        cache keeps each row as a read-only view of the matrix, which is
-        then the one block ``pair_distances`` reads."""
+        straight into the matrix, and the rows cached before are copied in.
+        The cache then drops its blocks and keeps the matrix, the one block
+        that ``pair_distances`` reads."""
         if self._dist_matrix is None:
             mat = np.empty((self._n, self._n), dtype=np.int32)
             todo = sorted(set(range(self._n)) - self._dist_rows.keys())
             for batch, block in _row_blocks(_csr(self), todo):
                 mat[batch] = block
-                self._dist_rows.update((u, mat[u]) for u in batch)
+            for u, row in self._dist_rows.items():
+                mat[u] = row
+            self._dist_rows, self._row_store = {}, []
+            self._keep_rows(range(self._n), mat)
             for u in range(self._n):  # bench/tracer.py counts row reads here
-                mat[u] = self.distances_from(u)
-            mat.setflags(write=False)
-            self._dist_rows = dict(enumerate(mat))
-            self._row_store = []
-            self._index_rows(np.arange(self._n), mat)
+                self.distances_from(u)
             self._dist_matrix = mat
         return self._dist_matrix
 

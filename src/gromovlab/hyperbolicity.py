@@ -68,7 +68,7 @@ from .graphs import (
 # block has at most _MAX_VERTICES vertices, and a graph of many small
 # blocks, such as a ring tree of any size or its electrification, passes.  At
 # 4096^2 cells the int32 matrices take 64 MiB, and the scans' narrow copies
-# and scratch add about half as much (98.1 MiB traced peak on grid(64, 64)).
+# and scratch add about half as much (97.6 MiB traced peak on grid(64, 64)).
 # The tile scan's work grows with the square of a block's far-apart pairs.
 # The witness scan charges each (i, j) it visits _WITNESS_VISIT cells for its
 # fixed cost plus the square of its candidate count, a bound on the cells

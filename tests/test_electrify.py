@@ -26,7 +26,7 @@ from gromovlab.electrify import (
     load_eg,
     penetration_profile,
 )
-from gromovlab.generators import cycle, path
+from gromovlab.generators import cycle, farey_ball, path
 from gromovlab.graphs import MetricGraph, dump_json
 
 
@@ -96,13 +96,37 @@ def test_electrify_refuses_to_cone_twice():
 
 
 def test_recone_error_names_the_smallest_coning_vertex():
-    # vertices 2 and 3 are both adjacent to exactly the member {0, 1}
-    g = MetricGraph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+    # cone vertices 2 and 3 are both adjacent to exactly the member {0, 1}
+    edges = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]
+    g = MetricGraph(4, edges, {2: "cone0", 3: "cone1"})
     with pytest.raises(ValueError, match=r"member 0 is already electrified \(vertex 2 cones it\)"):
         electrify(g, SubgraphFamily([[0, 1]]))
+    # without the cone labels they are ordinary vertices
+    assert electrify(MetricGraph(4, edges), SubgraphFamily([[0, 1]])).base_size == 4
     # a vertex adjacent to the member and more is not a cone
     g = MetricGraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     assert electrify(g, SubgraphFamily([[0, 1]])).base_size == 4
+
+
+@pytest.mark.parametrize(
+    "g,members",
+    [
+        # vertex 2 neighbours exactly the edge {0, 1}
+        (cycle(3), [[0, 1]]),
+        # vertices 0 and 2 neighbour exactly the middle vertex
+        (path(3), [[1]]),
+        # 8 of these 31 edges have a vertex adjacent to exactly their ends
+        (farey_ball(3), [list(e) for e in farey_ball(3).edges]),
+    ],
+    ids=["triangle-edge", "path-middle", "farey3-edges"],
+)
+def test_an_unlabelled_vertex_adjacent_to_exactly_a_member_is_no_cone(g, members):
+    for fam in [SubgraphFamily(members)] + [SubgraphFamily([m]) for m in members]:
+        eg = electrify(g, fam)
+        back = eg_from_obj(eg_to_obj(eg))
+        assert back.graph == eg.graph and back.family == fam
+        with pytest.raises(ValueError, match="already electrified"):
+            electrify(eg.graph, fam)
 
 
 def test_de_electrify_inverts_electrify_on_the_corpus():
@@ -244,8 +268,9 @@ def _relabelled_cone(obj):
         # the member {0, 2} is disconnected in the base path 0 - 1 - 2
         ({"graph": {"n": 4, "edges": [[0, 1], [1, 2], [0, 3], [2, 3]]}, "base_size": 3,
           "cones": [[0, 3]]}, "member 0 does not induce a connected subgraph"),
-        # base vertex 2 already cones the member {0, 1}
-        ({"graph": {"n": 4, "edges": [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3]]}, "base_size": 3,
+        # base vertex 2, labelled as a cone, already cones the member {0, 1}
+        ({"graph": {"n": 4, "edges": [[0, 1], [0, 2], [1, 2], [0, 3], [1, 3]],
+                    "labels": {"2": "cone0"}}, "base_size": 3,
           "cones": [[0, 3]]}, r"member 0 is already electrified \(vertex 2 cones it\)"),
         (_relabelled_cone(eg_to_obj(electrify(*ring_instance(1, 1, 12)))),
          "not the electrification of its base graph and family"),

@@ -347,6 +347,32 @@ def test_prefetched_rows_match_single_source_bfs(g, data):
     assert all(g._dist_rows[s] is row for s, row in kept.items())
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(connected_graphs(), st.sampled_from(["farey-6", "rings-2-3-12"]).map(small)), st.data())
+def test_every_cached_row_is_indexed_when_it_is_cached(g, data):
+    g = MetricGraph(g.n, g.edges)  # a cold row cache
+    D = orc.distance_matrix(g)
+    ids = st.integers(0, g.n - 1)
+    steps = st.sampled_from(["distances_from", "prefetch_rows", "pair_distances", "distance_matrix"])
+    for step in data.draw(st.lists(steps, min_size=1, max_size=6)):
+        if step == "distances_from":
+            g.distances_from(data.draw(ids))
+        elif step == "prefetch_rows":
+            g.prefetch_rows(data.draw(st.lists(ids, max_size=70)))
+        elif step == "pair_distances":
+            pairs = data.draw(st.lists(st.tuples(ids, ids), max_size=40))
+            us, vs = [u for u, _ in pairs], [v for _, v in pairs]
+            assert g.pair_distances(us, vs).tolist() == [int(D[u, v]) for u, v in pairs]
+        else:
+            assert np.array_equal(g.distance_matrix(), D)
+        for s, row in g._dist_rows.items():
+            block, lane = g._row_at[:, s]
+            assert block >= 0 and not row.flags.writeable
+            kept = g._row_store[block][lane]
+            assert np.array_equal(row, kept) and np.shares_memory(row, kept)
+            assert np.array_equal(row, D[s])
+
+
 def test_prefetch_checks_every_id_before_computing_a_row():
     g = grid(5, 5)
     row = g.distances_from(3)

@@ -307,7 +307,7 @@ def _summarize_data(data) -> str:
     parts = []
     for key in sorted(data):
         value = data[key]
-        if isinstance(value, (int, float, str, bool)) and not isinstance(value, dict):
+        if isinstance(value, (int, float, str, bool)):
             text = f"{value}"
             if len(text) > 40:
                 text = text[:37] + "..."

@@ -23,17 +23,17 @@ by at most d(i,j) - |u_l|).  It works block by block and never holds the
 whole graph's distance matrix unless the graph is one block.  Each block
 of at least four vertices is labelled by its fiber minima (below), and
 each distinct labelled block gets its own distance matrix and one scan,
-largest first:
-its far-apart pairs, taken by decreasing distance, are scored against each
-other in fixed-size tiles, and the scan stops at the first pair too close
-to beat the best defect so far, or once that reaches the block's diameter,
-or 2 on a block that one maximum cardinality search finds chordal.
-A repeated block, such as every ring of a ring tree, costs no more.  A
-second scan then reports the lexicographically smallest quadruple
-attaining the maximum: it is made of the fiber minima (the least vertex of
-the graph whose nearest vertex in the block is a given vertex) of four
-vertices of one block whose own maximum defect is the graph's, so each
-distinct such block is scanned once in its own labels, and the least
+largest first, against the running maximum: its far-apart pairs, taken by
+decreasing distance, are scored against each other in fixed-size tiles,
+and the scan stops at the first pair too close to reach that maximum, or
+once its own maximum reaches the block's diameter, or 2 on a block that
+one maximum cardinality search finds chordal (skipped after a maximum
+above 2).  Only the blocks at the maximum are held, and a repeated block,
+such as every ring of a ring tree, costs no more.  A second scan then
+reports the lexicographically smallest quadruple attaining the maximum:
+it is made of the fiber minima (the least vertex of the graph whose
+nearest vertex in the block is a given vertex) of four vertices of one
+held block, so each is scanned once in its own labels, and the least
 quadruple over the blocks is kept.  For each (i, j) that scan scores only
 the pairs (k, l) the sixth fact lets reach the maximum.
 Sampled mode draws each chunk of quadruples from a seeded generator in one
@@ -64,9 +64,9 @@ from .graphs import (
 
 # exact mode refuses, with a SizeLimitError, a graph over one of these caps,
 # each checked before the work it bounds.  The matrices of its distinct
-# blocks, held together, have at most _MAX_VERTICES^2 cells in all, so a
-# block has at most _MAX_VERTICES vertices, and a graph of many small
-# blocks, such as a ring tree of any size or its electrification, passes.  At
+# blocks have at most _MAX_VERTICES^2 cells in all, which bounds those held
+# at once, so a block has at most _MAX_VERTICES vertices, and a graph of
+# many small blocks, such as a ring tree or its electrification, passes.  At
 # 4096^2 cells the int32 matrices take 64 MiB, and the scans' narrow copies
 # and scratch add about half as much (97.6 MiB traced peak on grid(64, 64)).
 # The tile scan's work grows with the square of a block's far-apart pairs.
@@ -194,14 +194,15 @@ def _chordal(adj) -> bool:
     return True
 
 
-def _max_defect(D: np.ndarray, csr, best: int, stop: int | None = None) -> tuple:
+def _max_defect(D: np.ndarray, csr, floor: int, stop: int | None = None) -> tuple:
     """(defect, D): the largest quadruple defect of the block with distance
-    matrix ``D`` and block adjacency ``csr`` if it exceeds ``best``, else
-    ``best``, and ``D`` as the scan read it, in the narrowest integer type
-    that holds every score (int8 up to diameter 63), or as given if no scan
-    was needed; with ``stop``, the scan ends once the defect found reaches
-    it.  A block with more than ``_FAR_PAIRS`` far-apart pairs is refused
-    with a SizeLimitError before its scan starts.
+    matrix ``D`` and block adjacency ``csr`` if it is at least ``floor``,
+    else some value below ``floor``, and ``D`` as the scan read it, in the
+    narrowest integer type that holds every score (int8 up to diameter 63),
+    or as given if the block is skipped, its diameter or ``stop`` (a bound
+    on its defect) being below ``floor``.  A block with more than
+    ``_FAR_PAIRS`` far-apart pairs is refused with a SizeLimitError before
+    its scan starts.
 
     Some quadruple of maximal defect has both pairs of its largest sum
     far-apart (Cohen, Coudert and Lancin, "On computing the Gromov
@@ -210,16 +211,17 @@ def _max_defect(D: np.ndarray, csr, best: int, stop: int | None = None) -> tuple
     d_k + d_j is the largest sum, at most 0 otherwise.  Pairs are taken by
     decreasing distance.  The two other sums add up to at least twice each
     of d_k and d_j (triangle inequality), so a defect is at most the smaller
-    distance of its largest sum's pairs: the scan stops at the first pair k
-    with d_k <= ``best``, and it stops once ``best`` reaches the diameter
-    (or ``stop``).  Earlier pairs are gathered in tiles of columns, against
-    which later pairs are scored a chunk of rows at a time in preallocated
-    buffers of the matrix's narrow type.
+    distance of its largest sum's pairs: from best = ``floor`` - 1, the scan
+    stops at the first pair k with d_k <= best, and once best reaches the
+    diameter (or ``stop``).  Earlier pairs are gathered in tiles of columns,
+    against which later pairs are scored a chunk of rows at a time in
+    preallocated buffers of the matrix's narrow type.
     """
     diam = int(D.max())
-    if diam <= best:
-        return best, D
     stop = diam if stop is None else min(stop, diam)
+    best = floor - 1
+    if stop <= best:
+        return best, D
     xs, ys = _far_apart_pairs(D, csr)
     # holds sums and scores, ±2 diam; narrowed after the far-apart mask, so
     # that the two matrices and the mask are never held at once
@@ -383,24 +385,11 @@ def _block_witness(D: np.ndarray, t: int, work: int) -> tuple:
     return None, work
 
 
-def _may_attain(D: np.ndarray, csr, t: int) -> bool:
-    """Whether the block with distance matrix ``D`` and adjacency ``csr``,
-    whose maximum defect is known to be at most ``t``, may attain ``t``: a
-    rescan of its far-apart pairs that ends at ``t`` decides, and a block
-    with too many of them to rescan is left to the witness scan."""
-    try:
-        return _max_defect(D, csr, t - 1, t)[0] == t
-    except SizeLimitError:
-        return True
-
-
-def _first_witness(parts: list, scanned: dict, t: int) -> tuple:
+def _first_witness(parts: list, kept: dict, t: int) -> tuple:
     """First quadruple i<j<k<l of the graph, in lexicographic order, whose
     defect is ``t``, the maximum, from the blocks ``parts`` of ``_blocks``.
-    ``scanned`` maps each distinct labelled block to its (matrix, adjacency,
-    defect, exact): the matrix and the value ``_max_defect`` returned for
-    it, the value its own maximum defect if ``exact``, else only a bound on
-    it.
+    ``kept`` maps each distinct labelled block whose own maximum defect is
+    ``t`` to the matrix ``_max_defect`` returned for it.
 
     A quadruple whose four gates in a block are distinct has the defect of
     its gates, and one with a positive defect has such a block, whose own
@@ -410,29 +399,26 @@ def _first_witness(parts: list, scanned: dict, t: int) -> tuple:
     (``_block_witness``) is its least in fiber minima, and the least over
     the blocks is the answer.  The blocks are taken by their four least
     fiber minima, and the scan stops at the first block whose four least
-    cannot beat the best quadruple so far.  A block whose maximum is below
-    t is skipped, and one bounded by t only is first rescanned
-    (``_may_attain``); each distinct block is scanned for its quadruple
-    once, and that work is charged against ``_WITNESS_WORK``.
+    cannot beat the best quadruple so far.  A block not in ``kept`` is
+    skipped, and each kept block is scanned for its quadruple once, a work
+    charged against ``_WITNESS_WORK``.
     """
     if t == 0:
         return (0, 1, 2, 3)
     best = None
     work = 0
-    quads = {}  # the first labelled quadruple of each distinct block, or None
+    quads = {}  # the first labelled quadruple of each kept block
     for fmins, edges in sorted(parts, key=lambda part: part[0][:4]):
         if best is not None and tuple(fmins[:4]) >= best:
             break
         key = len(fmins), edges
+        if key not in kept:
+            continue
         if key not in quads:
-            D, csr, defect, exact = scanned[key]
-            if defect < t or not exact and not _may_attain(D, csr, t):
-                quads[key] = None
-            else:
-                quads[key], work = _block_witness(D, t, work)
-        quad = quads[key]
-        if quad is not None and (best is None or tuple(fmins[v] for v in quad) < best):
-            best = tuple(fmins[v] for v in quad)
+            quads[key], work = _block_witness(kept[key], t, work)
+        quad = tuple(fmins[v] for v in quads[key])
+        if best is None or quad < best:
+            best = quad
     if best is None:
         raise AssertionError(f"no quadruple attains the maximum defect {t}")
     return best
@@ -465,12 +451,13 @@ def four_point_delta(
     labelled blocks of ``_blocks``, largest first, each built as a
     ``MetricGraph`` in its labels (a graph of one block is used as it is)
     and scanned once by ``_max_defect`` over the far-apart pairs of its
-    adjacency and its ``distance_matrix``, in tiles, with its pair and
-    diameter exits, and for a chordal block (``_chordal``) an exit at
-    defect 2.  The witness is the lexicographically
-    smallest quadruple of the whole graph attaining that maximum, found by
-    ``_first_witness`` block by block; it may span several blocks, and on a
-    graph with delta 0 it is (0, 1, 2, 3).  Reports are therefore
+    adjacency and its ``distance_matrix``, in tiles, from the running
+    maximum, with its pair and diameter exits, and for a chordal block
+    (``_chordal``) an exit at defect 2; only the blocks at the maximum are
+    held.  The witness is the lexicographically smallest quadruple of the
+    whole graph attaining that maximum, found by ``_first_witness`` in the
+    held blocks; it may span several blocks, and on a graph with delta 0 it
+    is (0, 1, 2, 3).  Reports are therefore
     reproducible bit for bit.  Sampled mode needs ``samples`` >= 1 and a
     seed; its value never exceeds the exact one.  A seed or a sample count,
     when given, is checked in either mode.
@@ -492,18 +479,19 @@ def four_point_delta(
                 f"largest of {max(k for k, _ in distinct)} vertices, need {cells} cells; "
                 "use sampled mode"
             )
-        scanned = {}  # all held until the witness scan
+        kept = {}  # the narrow matrices of the blocks at the maximum so far
         best = 0
         for k, edges in sorted(distinct, key=lambda key: -key[0]):
             block = g if k == g.n else MetricGraph(k, edges)  # one block keeps its own ids
             # a chordal block has defect at most 2 (Brinkmann, Koolen and
             # Moulton), so its scan ends at the first quadruple of defect 2
             stop = 2 if _chordal(block._adj) else None
-            csr = _csr(block)
-            defect, D = _max_defect(block.distance_matrix(), csr, best, stop)
-            scanned[k, edges] = D, csr, defect, defect > best
-            best = defect
-        witness = _first_witness(parts, scanned, best)
+            defect, D = _max_defect(block.distance_matrix(), _csr(block), best, stop)
+            if defect > best:
+                best, kept = defect, {}
+            if defect == best:
+                kept[k, edges] = D
+        witness = _first_witness(parts, kept, best)
         return DeltaReport(best / 2.0, "exact", None, None, witness, g.n)
 
     if mode == "sampled":

@@ -174,10 +174,11 @@ def _spy(monkeypatch, name, log):
     monkeypatch.setattr(hyperbolicity, name, spy)
 
 
-def test_a_block_scanned_after_the_maximum_is_rescanned_up_to_it(monkeypatch):
+def test_a_block_scanned_after_the_maximum_is_scanned_once(monkeypatch):
     # a 2 x 6 ladder on 0..11 bridged to the prism C_8 x K_2 on 12..27: the
-    # prism, larger, sets the maximum defect 4 first, so the ladder's scan
-    # only bounds its own defect (2) by 4, and it is within its diameter 6
+    # prism, larger, sets the maximum defect 4 first, so the ladder, within
+    # its diameter 6, is scanned once against 4, finds its own 2 below it
+    # and is dropped before the witness scan
     e = [(v, v + 1) for v in (0, 1, 2, 3, 4, 6, 7, 8, 9, 10)] + [(v, v + 6) for v in range(6)]
     e += [(11, 12)] + [(c + v, c + (v + 1) % 8) for c in (12, 20) for v in range(8)]
     g = MetricGraph(28, e + [(12 + v, 20 + v) for v in range(8)])
@@ -189,24 +190,68 @@ def test_a_block_scanned_after_the_maximum_is_rescanned_up_to_it(monkeypatch):
     assert log == [
         ("_max_defect", 16, (0,)),
         ("_max_defect", 12, (4,)),
-        ("_max_defect", 12, (3, 4)),  # the rescan, ending at 4, finds 2 < 4
         ("_block_witness", 16, (4, 0)),
     ]
 
 
-def test_a_block_too_wide_to_rescan_is_left_to_the_witness_scan(monkeypatch):
+def test_a_block_whose_diameter_ties_the_maximum_is_held_to_the_pair_cap(monkeypatch):
     # C_9 on 0..8 (diameter 4, defect 3, 9 far-apart pairs) bridged to the
-    # prism C_8 x K_2 (defect 4, 8 pairs): with room for 8 pairs, the main
-    # scan passes and the rescan of C_9 is refused, so C_9 is witness-scanned
+    # prism C_8 x K_2 (defect 4, 8 pairs): the prism, larger, sets the
+    # maximum 4, which C_9's diameter ties, so C_9 is scanned against it, and
+    # with room for 8 pairs that scan is refused
     e = [(v, (v + 1) % 9) for v in range(9)] + [(8, 9)]
     e += [(c + v, c + (v + 1) % 8) for c in (9, 17) for v in range(8)]
     g = MetricGraph(25, sorted(tuple(sorted(x)) for x in e + [(9 + v, 17 + v) for v in range(8)]))
-    monkeypatch.setattr(hyperbolicity, "_FAR_PAIRS", 8)
-    log = []
-    _spy(monkeypatch, "_block_witness", log)
     rep = four_point_delta(g)
     assert (rep.delta, rep.witness) == (2.0, _first_attaining(g, 4))
-    assert [k for _, k, _ in log] == [9, 16]
+    monkeypatch.setattr(hyperbolicity, "_FAR_PAIRS", 8)
+    with pytest.raises(SizeLimitError, match="block of 9 vertices has 9"):
+        four_point_delta(g)
+
+
+def _chordal_strip(k):
+    """The 2 x ``k`` strip with one diagonal per square, a chordal block:
+    top row 0..k-1, bottom row k..2k-1, and each square's diagonal from its
+    top left to its bottom right."""
+    e = [(v, v + 1) for v in range(k - 1)] + [(k + v, k + v + 1) for v in range(k - 1)]
+    e += [(v, k + v) for v in range(k)] + [(v, k + v + 1) for v in range(k - 1)]
+    return MetricGraph(2 * k, e)
+
+
+def _attach(edges, n, block, at, bridge):
+    """Add ``block`` to the graph on 0..n-1 with the list ``edges``: its
+    vertex 0 is the vertex ``at``, or is joined to it by a bridge, and its
+    other vertices take the next ids.  Returns the new vertex count."""
+    first = n if bridge else n - 1
+    ids = list(range(first, first + block.n))
+    if bridge:
+        edges.append((at, n))
+    else:
+        ids[0] = at
+    edges += [(ids[u], ids[v]) for u, v in block.edges]
+    return first + block.n
+
+
+def _chain(parts, bridge=False):
+    """The graphs ``parts`` in a chain, each one's vertex 0 the last vertex
+    placed or, with ``bridge``, joined to it by a bridge."""
+    edges, n = list(parts[0].edges), parts[0].n
+    for part in parts[1:]:
+        n = _attach(edges, n, part, n - 1, bridge)
+    return MetricGraph(n, edges)
+
+
+def test_a_chordal_block_after_a_maximum_above_2_is_skipped(monkeypatch):
+    # grid(5, 5), defect 8, bridged by 24-25 to the chordal 2 x 11 strip,
+    # whose diameter 10 exceeds 8 but whose defect is at most 2: the strip
+    # gets no far-apart mask and no scan
+    g = _chain([grid(5, 5), _chordal_strip(11)], bridge=True)
+    log = []
+    _spy(monkeypatch, "_far_apart_pairs", log)
+    rep = four_point_delta(g)
+    assert (rep.delta, rep.witness) == (4.0, (0, 4, 20, 24))
+    assert rep.witness == _first_attaining(g, 8)
+    assert [k for _, k, _ in log] == [25]
 
 
 def test_each_distinct_block_gets_one_witness_scan(monkeypatch):
@@ -398,6 +443,63 @@ def test_block_cut_trees_match_bruteforce(g):
         q for q in itertools.combinations(range(g.n), 4)
         if orc.quadruple_defect(D, q) == 2 * rep.delta
     )
+
+
+def _bruteforce(g):
+    """(delta, first quadruple attaining it) of ``g``, over every quadruple
+    in lexicographic order at once, and (0.0, None) below four vertices."""
+    if g.n < 4:
+        return 0.0, None
+    D = orc.distance_matrix(g)
+    w, x, y, z = q = np.array(list(itertools.combinations(range(g.n), 4))).T
+    s = np.sort([D[w, x] + D[y, z], D[w, y] + D[x, z], D[w, z] + D[x, y]], axis=0)
+    top = int(np.argmax(s[2] - s[1]))
+    return (s[2, top] - s[1, top]) / 2, tuple(int(v) for v in q[:, top])
+
+
+@st.composite
+def glued_blocks(draw):
+    """2-5 blocks, each a grid of at most 4 x 4, a cycle of 4-10 vertices, a
+    Farey ball of radius 1-3, a chordal 2 x k strip or a cycle of 4-10
+    vertices with random chords, glued at a vertex placed before it or hung
+    from one by a bridge; a block that would take the graph past 36
+    vertices is left out, and the ids are shuffled.  Blocks this large tie
+    each other's defects, and strips follow maxima above 2."""
+    edges, n = [], 0
+    for _ in range(draw(st.integers(2, 5))):
+        kind = draw(st.sampled_from(["grid", "cycle", "farey", "strip", "chorded"]))
+        if kind == "grid":
+            block = grid(draw(st.integers(2, 4)), draw(st.integers(2, 4)))
+        elif kind == "cycle":
+            block = cycle(draw(st.integers(4, 10)))
+        elif kind == "farey":
+            block = farey_ball(draw(st.integers(1, 3)))
+        elif kind == "strip":
+            block = _chordal_strip(draw(st.integers(2, 8)))
+        else:
+            m = draw(st.integers(4, 10))
+            chords = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                                   max_size=4))
+            pairs = {tuple(sorted(e)) for e in cycle(m).edges + tuple(chords) if e[0] != e[1]}
+            block = MetricGraph(m, sorted(pairs))
+        if not n:
+            edges, n = list(block.edges), block.n
+            continue
+        bridge = draw(st.booleans())
+        if n + block.n - (not bridge) <= 36:
+            n = _attach(edges, n, block, draw(st.integers(0, n - 1)), bridge)
+    ids = draw(st.permutations(range(n)))
+    return MetricGraph(n, [(ids[u], ids[v]) for u, v in edges])
+
+
+@settings(max_examples=100, deadline=None)
+@given(glued_blocks())
+# grid(3, 3) and C_8 tie at defect 4, and the strip after them is skipped
+@example(_chain([grid(3, 3), cycle(8), _chordal_strip(4)]))
+def test_glued_blocks_match_bruteforce_and_their_own_deltas(g):
+    rep = four_point_delta(g)
+    assert (rep.delta, rep.witness) == _bruteforce(g)
+    assert rep.delta == max(_bruteforce(g.induced(b)[0])[0] for b in block_tree(g)[0])
 
 
 @settings(max_examples=150, deadline=None)

@@ -12,13 +12,18 @@ bounded) is a meaningful signal.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .graphs import (
     MetricGraph,
     _bit_bfs,
+    _bit_dilations,
+    _check_ids,
     _csr,
+    _lane_vertices,
+    _popcount,
     check_int,
     check_int_lists,
     dilation,
@@ -82,7 +87,10 @@ def cover_from_obj(g: MetricGraph, obj) -> Cover:
         raise ValueError('cover JSON must contain "R" and "blocks"')
     # D and multiplicity are deliberately recomputed, never read back
     blocks = check_int_lists("blocks", obj["blocks"])
-    return Cover.from_blocks(g, blocks, obj["R"], obj.get("strategy", "loaded"))
+    strategy = obj.get("strategy", "loaded")
+    if not isinstance(strategy, str):
+        raise ValueError(f'"strategy" must be a string, got {strategy!r:.60}')
+    return Cover.from_blocks(g, blocks, obj["R"], strategy)
 
 
 def load_cover(g: MetricGraph, path) -> Cover:
@@ -93,22 +101,26 @@ def multiplicity_check(g: MetricGraph, blocks, R: int) -> tuple:
     """Exhaustive verifier: the R-multiplicity of the blocks, by dilation.
 
     A block meets the R-ball of v exactly when v lies in the block's
-    R-neighbourhood, so one truncated BFS per block, adding 1 to every vertex
-    it reaches, counts the blocks meeting every R-ball at once.  Returns
-    (max multiplicity, first vertex attaining it).  Raises if the blocks do
-    not cover the graph.
+    R-neighbourhood.  The neighbourhoods come from one bit-parallel pass per
+    64 blocks (``graphs._bit_dilations``), and each vertex counts the lanes
+    set in its word, which counts the blocks meeting every R-ball at once.
+    Returns (max multiplicity, first vertex attaining it).  Raises if the
+    blocks do not cover the graph.
     """
     R = check_int("scale R", R, 0)
-    count = np.zeros(g.n, dtype=np.int64)
+    blocks = list(blocks)
+    ids = _check_ids(g.n, chain.from_iterable(blocks))
     covered = np.zeros(g.n, dtype=bool)
-    for block in blocks:
-        if len(block):  # an empty block meets no ball
-            count[dilation(g, block, R)] += 1  # ids checked here
-            covered[list(block)] = True
+    covered[ids] = True
     uncovered = np.flatnonzero(~covered)
     if uncovered.size:
         head = ", ".join(str(v) for v in uncovered[:10])
         raise ValueError(f"blocks do not cover the graph; {uncovered.size} uncovered (e.g. {head})")
+    # an empty block has no lane bit, so it meets no ball
+    blocks = np.split(ids, np.cumsum([len(block) for block in blocks])[:-1])
+    count = np.zeros(g.n, dtype=np.int64)
+    for _, at, words in _bit_dilations(_csr(g), blocks, R):
+        count[at] += _popcount(words)
     witness = int(count.argmax())
     return int(count[witness]), witness
 
@@ -129,6 +141,74 @@ def _coords(g: MetricGraph, width) -> list:
     return coords
 
 
+def _within(g: MetricGraph, balls: dict, y: int, vertices, radius: int) -> bool:
+    """Whether every vertex of ``vertices`` lies within ``radius`` of y.  The
+    ``radius``-ball of y is one truncated BFS, kept in ``balls`` as sorted
+    int32 ids under the key y for the 4 most recently asked y, so a run of
+    questions about the same y costs one BFS."""
+    ball = balls.pop(y, None)
+    if ball is None:
+        ball = np.sort(np.array(dilation(g, [y], radius), dtype=np.int32))
+        if len(balls) == 4:
+            del balls[next(iter(balls))]  # the least recently asked
+    balls[y] = ball
+    pos = np.searchsorted(ball, vertices)
+    return bool(pos.max() < len(ball) and (ball[pos] == vertices).all())
+
+
+def _merge_cells(g: MetricGraph, net: list, cells: list, dist, R: int) -> tuple:
+    """The net-Voronoi merge pass: (blocks, where), where[v] the block of v.
+
+    Voronoi fragments (``cells``, in net order) join the earliest block
+    within 2R whose union still fits the 8R diameter cap; this heals the
+    fragmentation around high-valence junctions.  Every block fits the cap,
+    and so does a cell (it lies within r <= 2R of its net point p, r read
+    from ``dist``, the distances to the net), so a union fits iff each cell
+    vertex is within the cap of each block vertex.  With e the block's
+    largest distance from p, read from p's capped row, e > cap rejects and
+    e + r <= cap accepts.  An open union (e <= cap < e + r) is first probed
+    from the block vertex y farthest from p: if a cell vertex lies outside
+    y's cap-ball (one truncated BFS, kept for the next few probes), the
+    union exceeds the cap; only unions the probe cannot reject ask
+    ``set_diameter``.  The rows come from one ``_bit_bfs`` pass per 64 net
+    points, computed when a cell of the batch first meets a block, and the
+    cells' 2R-neighbourhoods from one bit-parallel pass per 64 cells; both
+    are dropped with the batch, and the probe balls on return.  A cell seeds
+    its lane when its batch starts, before any cell of the batch can have
+    grown into a block.
+    """
+    cap = 8 * R
+    csr = _csr(g)
+    where = np.full(g.n, -1, dtype=np.int32)  # vertex -> block, -1 unplaced
+    blocks = []
+    balls = {}  # the probes' cap-balls, for _within
+    for a, at, words in _bit_dilations(csr, cells, 2 * R):
+        rows = None
+        for i, around in enumerate(_lane_vertices(at, words, len(cells[a:a + 64])), a):
+            cell = cells[i]
+            near = sorted(set(where[around].tolist()) - {-1})
+            if near and rows is None:
+                rows = _bit_bfs(csr, net[a:a + 64], np.arange(g.n), cap)
+            r = int(dist[cell].max())
+            for bi in near:
+                row = rows[i - a, blocks[bi]]
+                e = int(row.max())
+                if e > cap:
+                    continue
+                if e + r > cap and not (
+                    _within(g, balls, blocks[bi][int(row.argmax())], cell, cap)
+                    and set_diameter(g, blocks[bi] + cell, cap) <= cap
+                ):
+                    continue
+                blocks[bi] += cell
+                break
+            else:
+                bi = len(blocks)
+                blocks.append(cell)
+            where[cell] = bi
+    return blocks, where
+
+
 def cover_at_scale(g: MetricGraph, R: int, strategy: str, params=None) -> Cover:
     """Produce a verified cover at scale R.
 
@@ -142,8 +222,11 @@ def cover_at_scale(g: MetricGraph, R: int, strategy: str, params=None) -> Cover:
       greedy coloring of the block-adjacency-within-2R graph as the
       multiplicity certificate.  The merge decides most unions from the
       cell's net-point row (the block's farthest vertex from it, plus the
-      cell's radius) and asks a capped ``set_diameter`` only when that bound
-      cannot decide.
+      cell's radius).  When that bound cannot decide, one truncated BFS from
+      that farthest vertex rejects the union if it misses a cell vertex, and
+      only the unions it cannot reject ask a capped ``set_diameter``.  The
+      cells' and blocks' 2R-neighbourhoods come from one bit-parallel pass
+      per 64 sets.
     """
     R = check_int("scale R", R, 1)
     params = params or {}
@@ -182,50 +265,22 @@ def cover_at_scale(g: MetricGraph, R: int, strategy: str, params=None) -> Cover:
         for v, mask in enumerate(labels):
             cells[(mask & -mask).bit_length() - 1].append(v)
         del labels  # up to |net| bits per vertex, not held through the merge
-        # merge pass: Voronoi fragments (cells in net order) join the earliest
-        # block within 2R whose union still fits the 8R diameter cap; this
-        # heals the fragmentation around high-valence junctions.  Every block
-        # fits the cap, and so does a cell (it lies within r <= 2R of its net
-        # point p), so a union fits iff each cell vertex is within the cap of
-        # each block vertex.  With e the block's largest distance from p, read
-        # from p's capped row, e > cap rejects and e + r <= cap accepts; only
-        # the rest ask set_diameter.  The rows come from one _bit_bfs pass
-        # per 64 net points, computed when a cell of the batch first meets a
-        # block and dropped with the batch.
-        cap = 8 * R
-        where = np.full(g.n, -1, dtype=np.intp)  # vertex -> block, -1 unplaced
-        blocks = []
-        rows = None
-        for i, cell in enumerate(cells):
-            if i % 64 == 0:
-                rows = None
-            near = sorted(set(where[dilation(g, cell, 2 * R)].tolist()) - {-1})
-            if near and rows is None:
-                a = i - i % 64
-                rows = _bit_bfs(_csr(g), net[a:a + 64], np.arange(g.n), cap)
-            r = int(dist[cell].max())
-            for bi in near:
-                e = int(rows[i % 64, blocks[bi]].max())
-                if e <= cap and (e + r <= cap or set_diameter(g, blocks[bi] + cell, cap) <= cap):
-                    blocks[bi] += cell
-                    break
-            else:
-                bi = len(blocks)
-                blocks.append(cell)
-            where[cell] = bi
+        blocks, where = _merge_cells(g, net, cells, dist, R)
         # greedy coloring of the block-adjacency-within-2R graph: same-colored
-        # blocks are > 2R apart, so an R-ball meets at most num_colors blocks
-        colors = []
-        for bi, bv in enumerate(blocks):
-            near = set(where[dilation(g, bv, 2 * R)].tolist())
-            used = {colors[bj] for bj in near if bj < bi}
-            color = 0
-            while color in used:
-                color += 1
-            colors.append(color)
+        # blocks are > 2R apart, so an R-ball meets at most num_colors blocks;
+        # the blocks' 2R-neighbourhoods come 64 blocks per bit-parallel pass
+        colors = np.zeros(len(blocks), dtype=np.intp)
+        for a, at, words in _bit_dilations(_csr(g), blocks, 2 * R):
+            for bi, around in enumerate(_lane_vertices(at, words, len(blocks[a:a + 64])), a):
+                near = where[around]
+                used = set(colors[near[near < bi]].tolist())
+                color = 0
+                while color in used:
+                    color += 1
+                colors[bi] = color
         meta = {
             "net": net,
-            "num_colors": max(colors) + 1,
+            "num_colors": int(colors.max()) + 1,
             "certificate": (
                 "blocks sharing a color are pairwise > 2R apart, so an R-ball "
                 "meets at most num_colors blocks"

@@ -404,6 +404,14 @@ def _row_blocks(csr, sources):
         yield batch, _bit_bfs(csr, batch, every)
 
 
+def _bit_step(csr, reach, out=None) -> np.ndarray:
+    """One level of bit-parallel BFS: each vertex's uint64 word ORed with its
+    neighbours' words, into ``out`` (a new array by default; ``_bit_bfs``
+    steps in place, ``_bit_dilations`` compares with the level before)."""
+    nbrs, starts = csr
+    return np.bitwise_or(reach, np.bitwise_or.reduceat(reach[nbrs], starts), out=out)
+
+
 def _bit_bfs(csr, sources, targets, cap=None, need=None) -> np.ndarray:
     """(k, m) distances from k <= 64 ``sources`` (a vertex may be several) to
     m ``targets``, from one bit-parallel BFS (Akiba, Iwata and Yoshida, SIGMOD 2013).
@@ -424,8 +432,7 @@ def _bit_bfs(csr, sources, targets, cap=None, need=None) -> np.ndarray:
     in which every vertex has a neighbour, and trusts its inputs, as
     ``_bfs_levels`` does.
     """
-    nbrs, starts = csr
-    n = len(starts)
+    n = len(csr[1])
     targets = np.asarray(targets, dtype=np.intp)
     k = len(sources)
     reach = np.zeros(n, dtype=np.uint64)
@@ -448,7 +455,7 @@ def _bit_bfs(csr, sources, targets, cap=None, need=None) -> np.ndarray:
             counts.append(carry)
         if d == last:
             break
-        reach |= np.bitwise_or.reduceat(reach[nbrs], starts)
+        _bit_step(csr, reach, out=reach)
         d += 1
     out = np.zeros((k, len(targets)), dtype=np.int32)
     for word in reversed(counts):  # Horner, in place: out = 2 * out + bit
@@ -456,6 +463,56 @@ def _bit_bfs(csr, sources, targets, cap=None, need=None) -> np.ndarray:
         out <<= 1
         out += bits[:, :k].T
     return out
+
+
+def _bit_dilations(csr, sets, radius):
+    """The ``radius``-neighbourhoods of the vertex sets ``sets``, 64 sets per
+    bit-parallel pass: yields (a, at, words) for each batch sets[a:a + 64],
+    where ``at`` lists the vertices within ``radius`` of some set of the
+    batch, ascending, and bit i of the uint64 ``words[j]`` is set iff
+    ``at[j]`` lies within ``radius`` of sets[a + i].  A set may be empty or
+    repeat ids, and sets may share ids; a vertex then starts with a lane for
+    each set that holds it.  Each level is one ``_bit_step``, and a pass
+    stops early once a level sets no new bit, so a radius beyond the
+    graph's diameter costs no more than the diameter.  A pass holds one word
+    per vertex, and only the words with a bit set outlive it.  It trusts
+    its inputs, as ``_bit_bfs`` does."""
+    for a in range(0, len(sets), 64):
+        yield (a, *_dilation_pass(csr, sets[a:a + 64], radius))
+
+
+def _dilation_pass(csr, batch, radius) -> tuple:
+    """One pass of ``_bit_dilations`` over at most 64 sets: (at, words)."""
+    lanes = np.left_shift(np.uint64(1), np.arange(len(batch), dtype=np.uint64))
+    reach = np.zeros(len(csr[1]), dtype=np.uint64)
+    ids = np.fromiter(chain.from_iterable(batch), dtype=np.intp)
+    np.bitwise_or.at(reach, ids, np.repeat(lanes, [len(s) for s in batch]))
+    for _ in range(radius):
+        wider = _bit_step(csr, reach)
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    at = np.flatnonzero(reach)
+    return at, reach[at]
+
+
+def _lane_vertices(at, words, k):
+    """The vertices of each lane i < k of a ``_bit_dilations`` batch in turn,
+    as ascending id arrays."""
+    for i in range(k):
+        yield at[(words & np.uint64(1 << i)) != 0]
+
+
+# the number of set bits in each byte value
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _popcount(words) -> np.ndarray:
+    """The number of set bits of each uint64 word: each of its eight bytes is
+    looked up in a table, and one multiply sums the eight counts into the
+    top byte.  Returns int64 counts."""
+    counts = np.take(_BYTE_BITS, np.ascontiguousarray(words).view(np.uint8)).view(np.uint64)
+    return ((counts * np.uint64(0x0101010101010101)) >> np.uint64(56)).view(np.int64)
 
 
 def max_set_diameter(g: MetricGraph, sets, cap=None) -> int:

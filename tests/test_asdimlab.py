@@ -58,6 +58,14 @@ def test_multiplicity_by_dilation_matches_the_ball_recount(g, data):
     assert multiplicity_check(g, blocks, R) == expect
 
 
+@pytest.mark.parametrize("R", [0, 1, 2, 3])
+def test_multiplicity_check_of_more_than_64_blocks(R):
+    # 81 singletons and 17 overlapping balls: two bit-parallel passes
+    g = grid(9, 9)
+    blocks = [[v] for v in range(g.n)] + [graphs.dilation(g, [v], 1) for v in range(0, g.n, 5)]
+    assert multiplicity_check(g, blocks, R) == orc.multiplicity_oracle(orc.distance_matrix(g), blocks, R)
+
+
 def test_multiplicity_check_validation():
     g = path(10)
     with pytest.raises(ValueError, match="do not cover"):
@@ -255,6 +263,28 @@ def test_net_voronoi_merge_runs_few_bfs(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "make,R,most",
+    [
+        (lambda: grid(40, 40), 4, 1),  # 13 unions are open; the probe rejects 12
+        (lambda: tree_of_rings(3, 3, 12)[0], 4, 0),  # rejects all 6 open unions
+        (lambda: farey_ball(9), 4, 0),  # one cell, so no union
+    ],
+    ids=["grid-40-40", "rings-3-3-12", "farey-9"],
+)
+def test_net_voronoi_probe_leaves_few_unions_to_set_diameter(monkeypatch, make, R, most):
+    calls = []
+    real = asdimlab.set_diameter
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(asdimlab, "set_diameter", counting)
+    cover_at_scale(make(), R, "net_voronoi")
+    assert len(calls) <= most
+
+
+@pytest.mark.parametrize(
     "make,R,strategy,D,most",
     [
         (lambda: grid(40, 40), 4, "interval", 78, 2),  # one pass per block: 10
@@ -345,6 +375,15 @@ def test_cover_json_round_trip_recomputes_claims(tmp_path):
 def test_cover_loader_rejects_mistyped_blocks(blocks):
     with pytest.raises(ValueError, match="blocks"):
         cover_from_obj(path(10), {"R": 1, "blocks": blocks})
+
+
+@pytest.mark.parametrize("strategy", [5, None, True, ["brick"]])
+def test_cover_loader_rejects_a_mistyped_strategy(strategy):
+    obj = {"R": 1, "blocks": [[0, 1, 2]], "strategy": strategy}
+    with pytest.raises(ValueError, match='"strategy" must be a string'):
+        cover_from_obj(path(3), obj)
+    obj["strategy"] = "hand-made"
+    assert cover_from_obj(path(3), obj).strategy == "hand-made"
 
 
 def test_an_empty_cover_block_is_named():

@@ -480,6 +480,26 @@ def test_bit_bfs_lets_one_vertex_fill_several_lanes(k):
             assert np.array_equal(got, np.where(bit == 1, capped[:, targets], 0))
 
 
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(), st.data())
+def test_bit_dilations_match_dilation_for_every_set(g, data):
+    # more than 64 sets, so several passes: every single vertex, then drawn
+    # sets that overlap, repeat ids or are empty
+    ids = st.integers(0, g.n - 1)
+    sets = [[v] for v in range(g.n)]
+    sets += data.draw(st.lists(st.lists(ids, max_size=2 * g.n), min_size=65 - g.n, max_size=140))
+    radius = data.draw(st.integers(0, 4))
+    got = []
+    for a, at, words in graphs._bit_dilations(graphs._csr(g), sets, radius):
+        batch = sets[a:a + 64]
+        lanes = [v.tolist() for v in graphs._lane_vertices(at, words, len(batch))]
+        assert at.tolist() == sorted(set().union(*lanes))
+        # each vertex's word counts the sets of the batch that reach it
+        assert graphs._popcount(words).tolist() == [sum(v in lane for lane in lanes) for v in at]
+        got += lanes
+    assert got == [sorted(dilation(g, s, radius)) if s else [] for s in sets]
+
+
 @pytest.mark.parametrize(
     "g,r,most", [(cycle(30), 3, 3), (tree_of_rings(2, 3, 12)[0], 2, 7)], ids=["cycle-30", "rings-2-3-12"]
 )
